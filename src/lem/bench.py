@@ -180,6 +180,8 @@ def _parse_row(item: str) -> dict:
         raise ValueError("row needs a buffer size B=<count>")
     if not any(k in row for k in ("C", "mu", "dt")):
         raise ValueError("row needs a time step via C=, mu=, or dt=")
+    if not (row["B"].is_integer() and row["B"] >= 0):
+        raise ValueError(f"buffer size B must be a nonnegative integer, got {row['B']:g}")
     row["B"] = int(row["B"])
     return row
 
@@ -204,13 +206,18 @@ def parse_config(path: str) -> List[BenchCase]:
         reg = _CASES[kind]
 
         params = dict(reg["params"])
-        for key in params:
+        for key, default in reg["params"].items():
             if key in sec:
                 try:
                     params[key] = float(sec[key])
                 except ValueError:
                     _fail(path, text, section, key,
                           f"malformed number {sec[key]!r} for {key}")
+                if isinstance(default, int):  # mesh sizes
+                    if not (params[key].is_integer() and params[key] >= 1):
+                        _fail(path, text, section, key,
+                              f"{key} must be a positive integer, got {sec[key]!r}")
+                    params[key] = int(params[key])
         t_end = reg["T"]
         if "T" in sec:
             try:
@@ -237,6 +244,9 @@ def parse_config(path: str) -> List[BenchCase]:
             d_values = [int(v) for v in sec.get("D", "1").replace(" ", "").split(",") if v]
         except ValueError:
             _fail(path, text, section, "D", f"malformed subdomain list {sec.get('D')!r}")
+        if not d_values or min(d_values) < 1:
+            _fail(path, text, section, "D",
+                  f"subdomain counts must be at least 1, got {sec.get('D')!r}")
 
         rows = []
         for k, item in enumerate(sec.get("rows", "").split(";")):
@@ -262,11 +272,22 @@ def parse_config(path: str) -> List[BenchCase]:
         if phi_mode not in ("DenseStored", "KrylovAction"):
             _fail(path, text, section, "phi_mode", f"unknown phi mode {phi_mode!r}")
 
+        reference_tol = 1e-9
+        if "reference_tol" in sec:
+            try:
+                reference_tol = float(sec["reference_tol"])
+            except ValueError:
+                _fail(path, text, section, "reference_tol",
+                      f"malformed number {sec['reference_tol']!r} for reference_tol")
+            if not reference_tol > 0:
+                _fail(path, text, section, "reference_tol",
+                      f"reference_tol must be positive, got {sec['reference_tol']!r}")
+
         cases.append(BenchCase(
             name=kind, params=params, t_end=t_end, oracle=oracle,
             methods=methods, d_values=d_values, rows=rows, refresh=refresh,
             phi_mode=phi_mode,
-            reference_tol=float(sec.get("reference_tol", "1e-9")),
+            reference_tol=reference_tol,
             label=section,
         ))
     return cases

@@ -77,9 +77,8 @@ class BandedSparseMatrix:
         vals = np.asarray(vals).ravel()
         if not (rows.size == cols.size == vals.size):
             raise ValueError("rows, cols, vals must have equal length")
-        if vals.size and not np.issubdtype(vals.dtype, np.complexfloating):
-            vals = vals.astype(np.float64)
-        elif vals.size:
+        # complex input stays complex even when empty (e.g. an empty halo)
+        if np.issubdtype(vals.dtype, np.complexfloating):
             vals = vals.astype(np.complex128)
         else:
             vals = vals.astype(np.float64)

@@ -122,6 +122,12 @@ class TestParseConfig:
          "unknown phi mode", 3),
         ("[advdiff1d]\nrows = C=1 B=8\nrefresh = often\n",
          "malformed refresh", 3),
+        ("[advdiff1d]\nrows = C=1 B=8\nreference_tol = tight\n",
+         "malformed number", 3),
+        ("[advdiff1d]\nD = 1, 0\nrows = C=1 B=8\n", "at least 1", 2),
+        ("[advdiff1d]\nD = -2\nrows = C=1 B=8\n", "at least 1", 2),
+        ("[advdiff1d]\nn = 401.7\nrows = C=1 B=8\n", "positive integer", 2),
+        ("[advdiff1d]\nrows = C=1 B=-3\n", "nonnegative integer", 2),
     ])
     def test_errors_carry_file_and_line(self, tmp_path, text, needle, line):
         path = write(tmp_path, text)
@@ -134,6 +140,10 @@ class TestParseConfig:
     def test_bad_ini_syntax(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, "rows = C=1 B=2\n"))
+
+    def test_integer_mesh_size_kept_exact(self, tmp_path):
+        (case,) = parse_config(write(tmp_path, "[advdiff1d]\nn = 4e2\nrows = C=1 B=8\n"))
+        assert case.params["n"] == 400 and isinstance(case.params["n"], int)
 
     def test_shipped_configs_parse(self):
         import glob

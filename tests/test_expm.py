@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from lem import (
     BandedSparseMatrix,
@@ -17,7 +20,12 @@ from lem import (
     phi_k_dense,
     verify_decay,
 )
-from lem.models import build_advection_dirichlet_1d
+from lem.expm import KRYLOV_CHECK_EVERY, _phi_action_krylov, phi_hessenberg_e1
+from lem.models import (
+    build_advdiff_2d,
+    build_advection_dirichlet_1d,
+    build_schrodinger_1d,
+)
 
 
 def random_banded(n, half_bw, rng, scale=1.0):
@@ -186,6 +194,17 @@ class TestKrylov:
         with pytest.warns(RuntimeWarning):
             phi_action_krylov(a, 5.0, v, 1, tol=1e-14, m_max=8)
 
+    def test_phase_of_vector_is_irrelevant(self):
+        # phi(A) (e^{i t} v) = e^{i t} phi(A) v, with the same Arnoldi basis
+        # up to the phase: holds only if Gram-Schmidt conjugates the basis
+        a = build_schrodinger_1d(200, 10.0, 10.0).linear_matrix
+        v = np.random.default_rng(8).standard_normal(200) + 0j
+        phase = np.exp(0.7j)
+        w, m = _phi_action_krylov(a, 0.005, v, 1)
+        w_rot, m_rot = _phi_action_krylov(a, 0.005, phase * v, 1)
+        assert m_rot == m
+        assert np.linalg.norm(w_rot - phase * w) <= 1e-12 * np.linalg.norm(w)
+
     def test_evaluator_modes_agree(self):
         a, dense = self.make_operator()
         rng = np.random.default_rng(6)
@@ -198,6 +217,76 @@ class TestKrylov:
             assert np.linalg.norm(wd - wk) <= 1e-9 * np.linalg.norm(wd)
         assert len(ev_k.krylov_dims) == 2
         assert all(1 <= m <= 60 for m in ev_k.krylov_dims)
+
+
+def random_hessenberg(m, rng, scale, complex_):
+    h = rng.standard_normal((m, m))
+    if complex_:
+        h = h + 1j * rng.standard_normal((m, m))
+    return scale * np.triu(h, -1)
+
+
+class TestKrylovKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 60), k=st.integers(1, 3), complex_=st.booleans(),
+           scale=st.floats(1e-3, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_hessenberg_phi_matches_block_augmented(self, m, k, complex_, scale, seed):
+        h = random_hessenberg(m, np.random.default_rng(seed), scale, complex_)
+        got = phi_hessenberg_e1(h, k)
+        want = phi_dense_all(h, k)[k][:, 0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 80), r_frac=st.floats(0.05, 1.0),
+           m_max=st.integers(1, 60), k=st.integers(1, 3),
+           tol=st.sampled_from([1e-4, 1e-8, 1e-10, 1e-13]),
+           dt=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_dimension_is_a_checkpoint(self, n, r_frac, m_max, k, tol, dt, seed):
+        # v lives on an invariant block of size r: breakdown comes at step r
+        rng = np.random.default_rng(seed)
+        r = max(1, int(r_frac * n))
+        dense = np.zeros((n, n))
+        dense[:r, :r] = rng.standard_normal((r, r)) / math.sqrt(r)
+        v = np.zeros(n)
+        v[:r] = rng.standard_normal(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, m_used = _phi_action_krylov(dense, dt, v, k, tol=tol, m_max=m_max)
+        assert 1 <= m_used <= min(r, m_max)
+        assert m_used % KRYLOV_CHECK_EVERY == 0 or m_used in (r, m_max)
+
+
+def augmented_action(a, dt, v, k):
+    """phi_k(dt A) v as exp of the (n + k)-sized augmented sparse matrix."""
+    n = a.n_rows
+    corner = scipy.sparse.csr_matrix(
+        (v, (np.arange(n), np.zeros(n, dtype=int))), shape=(n, k))
+    shift = scipy.sparse.eye(k, k, 1)
+    aug = scipy.sparse.bmat([[dt * a.to_csr(), corner], [None, shift]], format="csc")
+    last = np.zeros(n + k, dtype=aug.dtype)
+    last[-1] = 1.0
+    return expm_multiply(aug, last)[:n]
+
+
+class TestKrylovOracle:
+    """phi_action_krylov against scipy's expm_multiply (Al-Mohy & Higham)."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("name", ["advdiff2d", "schrodinger1d"])
+    def test_matches_expm_multiply(self, name, k):
+        if name == "advdiff2d":
+            a, dt = build_advdiff_2d(20, 20, 10.0, 10.0, 1.0, 1e-3).linear_matrix, 0.1
+        else:
+            a, dt = build_schrodinger_1d(200, 10.0, 10.0).linear_matrix, 0.005
+        assert a.is_complex == (name == "schrodinger1d")
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v = rng.standard_normal(a.n_rows)
+            if a.is_complex:
+                v = v + 1j * rng.standard_normal(a.n_rows)
+            got = phi_action_krylov(a, dt, v, k)
+            want = augmented_action(a, dt, v, k)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestDecayProfiles:

@@ -82,6 +82,17 @@ class TestMatvec:
         out = a.matvec(np.array([1.0 + 0j, 2.0 + 0j]))
         np.testing.assert_allclose(out, [2j, -1j])
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_complex_stays_complex(self):
+        # a complex operator whose halo is empty (one periodic subdomain)
+        a = BandedSparseMatrix(2, 2, [0, 1], [1, 0], [1j, -1j])
+        everything = IndexSet([0, 1])
+        halo = a.halo(everything, everything)
+        assert halo.nnz == 0
+        assert halo.is_complex
+        assert BandedSparseMatrix(3, 3, [], [], np.zeros(0, complex)).is_complex
+        assert not BandedSparseMatrix(3, 3, [], [], []).is_complex
+
 
 class TestRestrict:
     def test_periodic_block_loses_wrap(self):
