@@ -37,10 +37,7 @@ from lem.models import (
 )
 from lem.partition import (
     Partition,
-    LocalSystem,
     make_partition,
-    suggest_buffer,
-    extract_local,
     gather_overwrite,
 )
 from lem.steppers import (
@@ -48,9 +45,6 @@ from lem.steppers import (
     run_lem,
     run_global,
     run_reference,
-    step_exp_euler,
-    step_exprb2,
-    step_exprb3,
 )
 from lem.reports import RunReport
 from lem.bench import (
@@ -93,18 +87,12 @@ __all__ = [
     "exact_square_wave",
     "stability_params",
     "Partition",
-    "LocalSystem",
     "make_partition",
-    "suggest_buffer",
-    "extract_local",
     "gather_overwrite",
     "StepperConfig",
     "run_lem",
     "run_global",
     "run_reference",
-    "step_exp_euler",
-    "step_exprb2",
-    "step_exprb3",
     "RunReport",
     "BenchCase",
     "ConfigError",

@@ -35,7 +35,8 @@ from .expm import verify_decay
 from .models import SemiDiscreteSystem
 from .partition import _block_sizes, make_partition
 from .reports import RunReport
-from .steppers import StepperConfig, run_global, run_lem, run_reference
+from .steppers import (_ALL_METHODS, _PHI_MODES, StepperConfig, run_global,
+                       run_lem, run_reference)
 
 __all__ = [
     "BenchCase",
@@ -122,10 +123,6 @@ _CASES: Dict[str, dict] = {
         methods=("ExpRB2",),
     ),
 }
-
-_METHOD_NAMES = ("ExpEuler", "ExpRB2", "ExpRB3", "RK2", "RK3", "RK4",
-                 "CrankNicolson", "AdaptiveReference")
-
 
 @dataclass
 class BenchCase:
@@ -237,7 +234,7 @@ def parse_config(path: str) -> List[BenchCase]:
         methods = [m.strip() for m in
                    sec.get("methods", ",".join(reg["methods"])).split(",")]
         for m in methods:
-            if m not in _METHOD_NAMES:
+            if m not in _ALL_METHODS:
                 _fail(path, text, section, "methods", f"unknown method {m!r}")
 
         try:
@@ -269,7 +266,7 @@ def parse_config(path: str) -> List[BenchCase]:
                       f"malformed refresh {sec['refresh']!r}")
 
         phi_mode = sec.get("phi_mode", "DenseStored").strip()
-        if phi_mode not in ("DenseStored", "KrylovAction"):
+        if phi_mode not in _PHI_MODES:
             _fail(path, text, section, "phi_mode", f"unknown phi mode {phi_mode!r}")
 
         reference_tol = 1e-9
@@ -376,13 +373,13 @@ def _row_dt(row: dict, system: SemiDiscreteSystem, t_end: float) -> float:
 
 
 def _run_cell(case: BenchCase, system: SemiDiscreteSystem, method: str,
-              row: dict, d: int, workers: int, u_oracle: np.ndarray,
+              row: dict, d: int, u_oracle: np.ndarray,
               timing: bool) -> RunReport:
     dt = _row_dt(row, system, case.t_end)
     cfg = StepperConfig(
         method=method, dt=dt, t_end=case.t_end,
         jacobian_refresh_every=case.refresh, phi_mode=case.phi_mode,
-        reference_tol=case.reference_tol, workers=workers,
+        reference_tol=case.reference_tol,
     )
     try:
         if d == 1:
@@ -413,9 +410,15 @@ def run_sweep(case: BenchCase, workers: int = 1,
     Cells whose subdomain interiors would be no larger than the buffer are
     skipped, as such subdomains consist mostly of auxiliary nodes (the
     reference tables likewise omit the cell where subdomains and buffers
-    have the same size). With timing enabled, cells run sequentially so
-    wall clocks stay clean; otherwise they may run on a worker pool.
+    have the same size). With workers > 1 the cells run on a thread pool
+    of that size, which needs timing=False: timed cells run sequentially
+    so wall clocks stay clean. Each cell itself is one sequential run.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and timing:
+        raise ValueError("workers > 1 runs cells in parallel and needs "
+                         "timing=False")
     system = case.build()
     u_oracle = _oracle_state(case, system)
     n_axis = system.mesh.n[0]
@@ -433,17 +436,13 @@ def run_sweep(case: BenchCase, workers: int = 1,
                     continue
                 cells.append((method, row, d))
 
-    if timing or workers == 1:
-        reports = [
-            _run_cell(case, system, method, row, d, workers, u_oracle, timing)
-            for method, row, d in cells
-        ]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            reports = list(pool.map(
-                lambda cell: _run_cell(case, system, *cell, 1, u_oracle, False),
-                cells))
-    return reports
+    if workers == 1:
+        return [_run_cell(case, system, *cell, u_oracle, timing)
+                for cell in cells]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(
+            lambda cell: _run_cell(case, system, *cell, u_oracle, False),
+            cells))
 
 
 # ---------------------------------------------------------------------------

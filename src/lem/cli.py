@@ -1,6 +1,6 @@
 """Command line front end.
 
-    lem run <config.ini> [--out report.csv] [--workers N] [--no-timing]
+    lem run <config.ini> [--out report.csv] [--workers N --no-timing]
     lem decay <case> --courant <c> [--out profile.csv]
     lem verify
 
@@ -21,6 +21,12 @@ from .bench import (ConfigError, _CASES, emit_csv, emit_decay_profile,
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 1
+    if args.workers > 1 and not args.no_timing:
+        print("error: --workers N needs --no-timing", file=sys.stderr)
+        return 1
     try:
         cases = parse_config(args.config)
     except (ConfigError, OSError) as exc:
@@ -105,7 +111,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the sweeps in a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="report.csv")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="run cells on N threads (needs --no-timing)")
     p_run.add_argument("--no-timing", action="store_true",
                        help="skip wall clocks and allow parallel cells")
     p_run.set_defaults(func=_cmd_run)

@@ -164,13 +164,22 @@ def phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
     Hitting m_max raises a warning and returns the best available
     approximation.
     """
-    result, _ = _phi_action_krylov(a, dt, v, k, tol=tol, m_max=m_max)
+    result, _, converged = _phi_action_krylov(a, dt, v, k, tol=tol, m_max=m_max)
+    if not converged:
+        warnings.warn(
+            f"phi_action_krylov: no convergence within m_max={m_max}",
+            RuntimeWarning,
+        )
     return result
 
 
 def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
                        tol: float = 1e-10, m_max: int = 60):
-    """phi_action_krylov worker; also returns the Krylov dimension used."""
+    """phi_action_krylov worker: (result, Krylov dimension used, converged).
+
+    It never warns; hitting m_max without meeting the tolerance returns
+    converged=False, and the caller decides how to report it.
+    """
     if k not in (1, 2, 3):
         raise ValueError("phi_action_krylov supports k in {1, 2, 3}")
     matvec, n, op_complex = _as_matvec(a)
@@ -181,7 +190,7 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
 
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
-        return np.zeros(n, dtype=dtype), 0
+        return np.zeros(n, dtype=dtype), 0, True
 
     vv = np.zeros((m_max + 1, n), dtype=dtype)
     h = np.zeros((m_max + 1, m_max), dtype=dtype)
@@ -189,6 +198,7 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
     h_max = 0.0  # running max |entry| of H_m, subdiagonal included
     y = None
     m_used = m_max
+    converged = False
     for m in range(1, m_max + 1):
         w = dt * matvec(vv[m - 1])
         basis = vv[:m]
@@ -203,7 +213,7 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
         if hnext <= 1e-14 * max(1.0, h_max):
             # happy breakdown: Krylov space is invariant, result exact
             y = phi_hessenberg_e1(h[:m, :m], k)
-            m_used = m
+            m_used, converged = m, True
             break
         h[m, m - 1] = hnext
         h_max = max(h_max, hnext)
@@ -211,16 +221,10 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
         if m % KRYLOV_CHECK_EVERY == 0 or m == m_max:
             y = phi_hessenberg_e1(h[:m, :m], k)
             if beta * hnext * abs(y[m - 1]) <= tol * beta:
-                m_used = m
+                m_used, converged = m, True
                 break
-    else:
-        warnings.warn(
-            f"phi_action_krylov: no convergence within m_max={m_max} "
-            f"(last estimate {beta * abs(h[m_max, m_max - 1]) * abs(y[-1]):.3e})",
-            RuntimeWarning,
-        )
     result = beta * (vv[:m_used].T @ y)
-    return result, m_used
+    return result, m_used, converged
 
 
 @dataclass
@@ -229,7 +233,9 @@ class PhiEvaluator:
 
     DenseStored mode precomputes phi_1..phi_{order_max}(dt A) once and applies
     them by matrix-vector products; KrylovAction mode runs an Arnoldi
-    iteration per application. Both evaluate the same mathematical object.
+    iteration per application, recording its dimension in `krylov_dims` and
+    counting applications that hit m_max unconverged in `krylov_misses`.
+    Both evaluate the same mathematical object.
     """
 
     mode: str
@@ -240,6 +246,7 @@ class PhiEvaluator:
     krylov_tol: float = 1e-10
     krylov_m_max: int = 60
     krylov_dims: list = field(repr=False, default_factory=list)
+    krylov_misses: int = 0
 
     @classmethod
     def dense(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
@@ -258,11 +265,12 @@ class PhiEvaluator:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
             return self._cached[k] @ vec
-        result, m_used = _phi_action_krylov(
+        result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec, k,
             tol=self.krylov_tol, m_max=self.krylov_m_max,
         )
         self.krylov_dims.append(m_used)
+        self.krylov_misses += not converged
         return result
 
 

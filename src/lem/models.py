@@ -165,9 +165,6 @@ class SemiDiscreteSystem:
     def n(self) -> int:
         return self.mesh.n_total
 
-    def rhs_at(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return self.rhs(u, t)
-
 
 def _gaussian(x: np.ndarray, center: float, sigma: float) -> np.ndarray:
     return np.exp(-((x - center) ** 2) / (2.0 * sigma**2))

@@ -4,26 +4,24 @@ Each subdomain owns a contiguous interior block D_i; the local problem is
 solved on M_i = D_i union B_i, where the buffer B_i absorbs the influence
 of the rest of the mesh over one step. After the step only interior values
 are kept, so every global degree of freedom is written by exactly one
-subdomain.
+subdomain. A `Partition` stores the position of D_i inside M_i once, at
+construction, and `gather_overwrite` reads those stored positions every
+step. The drivers that restrict an operator to M_i live in `steppers`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import List
 
 import numpy as np
 
-from .models import Mesh, SemiDiscreteSystem, StabilityParams
-from .sparse import BandedSparseMatrix, IndexSet
+from .models import Mesh
+from .sparse import IndexSet
 
 __all__ = [
     "Partition",
-    "LocalSystem",
     "make_partition",
-    "suggest_buffer",
-    "extract_local",
     "gather_overwrite",
 ]
 
@@ -39,6 +37,7 @@ class Partition:
     layout: str
     n_total: int
     b_nominal: int = 0
+    _positions: List[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D != len(self.interiors) or self.D != len(self.buffers):
@@ -57,10 +56,14 @@ class Partition:
                 raise ValueError(f"local set of subdomain {i} is not D_i union B_i")
         if not seen.all():
             raise ValueError("interiors must cover every mesh index")
+        positions = [m.positions_of(d) for m, d in zip(self.locals, self.interiors)]
+        for pos in positions:
+            pos.setflags(write=False)
+        object.__setattr__(self, "_positions", positions)
 
     def interior_positions(self, i: int) -> np.ndarray:
         """Positions of D_i inside M_i (for gathering local results)."""
-        return self.locals[i].positions_of(self.interiors[i])
+        return self._positions[i]
 
     def describe(self) -> str:
         lines = [f"{self.layout}: {self.D} subdomains over {self.n_total} nodes"]
@@ -76,23 +79,6 @@ class Partition:
     def dof_updates_per_step(self) -> int:
         """Total degrees of freedom written per step, buffers included."""
         return sum(len(m) for m in self.locals)
-
-
-@dataclass
-class LocalSystem:
-    """One subdomain's problem with exterior couplings frozen at t_n.
-
-    For linear systems ``matrix_or_rhs`` is the restricted matrix A_{M_i}
-    and ``boundary_forcing`` carries A[r, c]*u_global[c] for columns c
-    outside M_i (inhomogeneous Dirichlet data, constant over the step).
-    For nonlinear systems it is a callable rhs(v_local, t) that evaluates
-    the global stencil with exterior values frozen.
-    """
-
-    owner: int
-    matrix_or_rhs: Union[BandedSparseMatrix, Callable]
-    boundary_forcing: np.ndarray
-    local_to_global: IndexSet
 
 
 def _block_sizes(n: int, d: int) -> List[int]:
@@ -114,29 +100,22 @@ def _buffer_for_block(start: int, stop: int, b: int, n: int,
     return np.unique(ring)
 
 
-def make_partition(mesh: Mesh, d: int, b: int,
-                   layout: Optional[str] = None) -> Partition:
+def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
     """Split the mesh into d contiguous interior blocks with b-node buffers.
 
-    1D meshes are split along their only axis; 2D meshes are split into
-    column blocks along the first (horizontal) axis, with buffers extending
-    only along that axis and b counting grid columns. Periodic buffers wrap
-    across the ends; Dirichlet buffers are clipped at physical boundaries.
-    With d=1 the buffer is empty by construction: the single subdomain has
-    no exterior. Remainders go to the leading subdomains.
+    1D meshes are split along their only axis (layout "blocks1d"); 2D
+    meshes are split into column blocks along the first (horizontal) axis
+    (layout "columns2d"), with buffers extending only along that axis and b
+    counting grid columns. Periodic buffers wrap across the ends; Dirichlet
+    buffers are clipped at physical boundaries. With d=1 the buffer is
+    empty by construction: the single subdomain has no exterior. Remainders
+    go to the leading subdomains.
     """
     if d < 1:
         raise ValueError("need at least one subdomain")
     if b < 0:
         raise ValueError("buffer size must be nonnegative")
-    if layout is None:
-        layout = "blocks1d" if mesh.dim == 1 else "columns2d"
-    if layout not in ("blocks1d", "columns2d"):
-        raise ValueError(f"unknown layout {layout!r}")
-    if layout == "blocks1d" and mesh.dim != 1:
-        raise ValueError("blocks1d layout needs a 1D mesh")
-    if layout == "columns2d" and mesh.dim != 2:
-        raise ValueError("columns2d layout needs a 2D mesh")
+    layout = "blocks1d" if mesh.dim == 1 else "columns2d"
 
     n_axis = mesh.n[0]
     periodic = mesh.boundary[0] == "periodic"
@@ -170,51 +149,6 @@ def make_partition(mesh: Mesh, d: int, b: int,
     return Partition(D=d, interiors=interiors, buffers=buffers,
                      locals=local_sets, layout=layout,
                      n_total=mesh.n_total, b_nominal=b_eff)
-
-
-def suggest_buffer(params: StabilityParams) -> int:
-    """Heuristic buffer width from the stability parameters.
-
-    ceil(2*max(C, mu)) + 6, at least 4. Advisory only: an explicit buffer
-    size in a benchmark configuration always takes precedence.
-    """
-    return max(4, math.ceil(2 * max(params.courant, params.mu)) + 6)
-
-
-def extract_local(system: SemiDiscreteSystem, part: Partition, i: int,
-                  u_global: np.ndarray, t_n: float = 0.0) -> LocalSystem:
-    """Restrict the system to M_i with exterior data frozen at t_n.
-
-    Linear systems return the restricted matrix plus a forcing vector that
-    collects the couplings into nodes outside M_i (evaluated on u_global)
-    and the restriction of any global forcing at t_n. Nonlinear systems
-    return a local rhs closure that embeds the local state into the frozen
-    global one.
-    """
-    if not 0 <= i < part.D:
-        raise ValueError(f"subdomain id {i} outside 0..{part.D - 1}")
-    m_i = part.locals[i]
-    idx = m_i.indices
-
-    if system.is_linear:
-        a_loc = system.linear_matrix.restrict(idx, idx)
-        halo = system.linear_matrix.halo(idx, idx)
-        forcing = halo.matvec(u_global)
-        if system.forcing is not None:
-            forcing = forcing + system.forcing(t_n)[idx]
-        return LocalSystem(owner=i, matrix_or_rhs=a_loc,
-                           boundary_forcing=forcing, local_to_global=m_i)
-
-    frozen = u_global.copy()
-
-    def local_rhs(v_local: np.ndarray, t: float) -> np.ndarray:
-        full = frozen.copy()
-        full[idx] = v_local
-        return system.rhs(full, t)[idx]
-
-    return LocalSystem(owner=i, matrix_or_rhs=local_rhs,
-                       boundary_forcing=np.zeros(len(m_i)),
-                       local_to_global=m_i)
 
 
 def gather_overwrite(part: Partition, locals_out: List[np.ndarray],

@@ -1,25 +1,31 @@
 """Time integrators: exponential (global and subdomain-local) and classical.
 
-The exponential drivers advance linear systems exactly per step and
-nonlinear systems through their Jacobian linearization. Freezing policy:
-the Jacobian and its phi matrices are rebuilt every
-``jacobian_refresh_every`` steps (never, for linear systems). Between
-rebuilds the order-2 exponential Rosenbrock path propagates the frozen
-quasi-linearization exactly, so steps there cost one stored-matrix
-application and no right-hand-side evaluation; the order-3 path keeps
-evaluating the nonlinear remainder each step, which its correction stage
-needs. At every rebuild point the order-2 step coincides with the
-Rosenbrock-Euler formula u + dt*phi_1(dt J)F(u), and with
+`run_lem` is the one exponential driver: a sequential loop that, per step,
+advances every subdomain with `_local_step` on data frozen at t_n and
+gathers the interiors. `run_global` runs exponential methods through it on
+the one-subdomain partition, so both share one step formula.
+
+Linear systems are advanced exactly per step, nonlinear systems through
+their Jacobian linearization. Freezing policy: the Jacobian and its phi
+matrices are rebuilt every ``jacobian_refresh_every`` steps (never, for
+linear systems). Between rebuilds the order-2 exponential Rosenbrock path
+propagates the frozen quasi-linearization exactly, so steps there cost one
+stored-matrix application and no right-hand-side evaluation; the order-3
+path keeps evaluating the nonlinear remainder each step, which its
+correction stage needs. At every rebuild point the order-2 step coincides
+with the Rosenbrock-Euler formula u + dt*phi_1(dt J)F(u), and with
 ``jacobian_refresh_every=1`` both methods are the standard schemes of
 orders 2 and 3.
+
+Krylov applications that reach m_max unconverged are counted per run and
+reported as one `RunReport.warnings` entry; the drivers install no
+warning filters.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -32,21 +38,18 @@ from .expm import PhiEvaluator
 from .models import SemiDiscreteSystem, stability_params
 from .partition import Partition, gather_overwrite, make_partition
 from .reports import RunReport
-from .sparse import BandedSparseMatrix
 
 __all__ = [
     "StepperConfig",
     "run_lem",
     "run_global",
     "run_reference",
-    "step_exp_euler",
-    "step_exprb2",
-    "step_exprb3",
 ]
 
 _EXP_METHODS = ("ExpEuler", "ExpRB2", "ExpRB3")
 _CLASSICAL_METHODS = ("RK2", "RK3", "RK4", "CrankNicolson")
 _ALL_METHODS = _EXP_METHODS + _CLASSICAL_METHODS + ("AdaptiveReference",)
+_PHI_MODES = ("DenseStored", "KrylovAction")
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,6 @@ class StepperConfig:
     jacobian_refresh_every: Optional[int] = None  # None: never (linear) / 5
     phi_mode: str = "DenseStored"
     reference_tol: float = 1e-9
-    workers: int = 1
-    krylov_tol: float = 1e-10
-    krylov_m_max: int = 60
     record_trajectory: bool = False
 
     def __post_init__(self):
@@ -73,10 +73,8 @@ class StepperConfig:
             raise ValueError("t_end must be positive")
         if self.jacobian_refresh_every is not None and self.jacobian_refresh_every < 1:
             raise ValueError("refresh interval must be at least 1")
-        if self.phi_mode not in ("DenseStored", "KrylovAction"):
+        if self.phi_mode not in _PHI_MODES:
             raise ValueError(f"unknown phi mode {self.phi_mode!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -94,52 +92,6 @@ class StepperConfig:
 
 
 # ---------------------------------------------------------------------------
-# single-step formulas (global form; the LEM driver applies the same maps
-# per subdomain with frozen exterior data)
-
-
-def _phi_for(a, dt: float, order_max: int, cfg: StepperConfig) -> PhiEvaluator:
-    if cfg.phi_mode == "KrylovAction":
-        return PhiEvaluator.krylov(a, dt, order_max,
-                                   tol=cfg.krylov_tol, m_max=cfg.krylov_m_max)
-    return PhiEvaluator.dense(a, dt, order_max)
-
-
-def step_exp_euler(system: SemiDiscreteSystem, u_n: np.ndarray, t_n: float,
-                   dt: float, phi: PhiEvaluator) -> np.ndarray:
-    """u + dt*phi_1(dt A)(A u + g(t_n)); exact for autonomous linear systems."""
-    if not system.is_linear:
-        raise ValueError("exponential Euler needs a linear system; "
-                         "use an exponential Rosenbrock method")
-    w = system.linear_matrix.matvec(u_n)
-    if system.forcing is not None:
-        w = w + system.forcing(t_n)
-    return u_n + dt * phi.apply(1, w)
-
-
-def step_exprb2(system: SemiDiscreteSystem, u_n: np.ndarray, t_n: float,
-                dt: float, frozen_jacobian: BandedSparseMatrix,
-                phi: PhiEvaluator) -> np.ndarray:
-    """Rosenbrock-Euler step u + dt*phi_1(dt J)F(u_n, t_n)."""
-    return u_n + dt * phi.apply(1, system.rhs(u_n, t_n))
-
-
-def step_exprb3(system: SemiDiscreteSystem, u_n: np.ndarray, t_n: float,
-                dt: float, frozen_jacobian: BandedSparseMatrix,
-                phi: PhiEvaluator) -> np.ndarray:
-    """Two-stage order-3 exponential Rosenbrock step.
-
-    U2 = u + dt*phi_1(dt J)F(u); u+ = U2 + 2dt*phi_3(dt J)(N(U2) - N(u))
-    with remainder N(u) = F(u) - J u. The J-linear parts of N cancel, so
-    the correction is F(U2) - F(u) - J(U2 - u).
-    """
-    f_n = system.rhs(u_n, t_n)
-    u_2 = u_n + dt * phi.apply(1, f_n)
-    dn = system.rhs(u_2, t_n) - f_n - frozen_jacobian.matvec(u_2 - u_n)
-    return u_2 + 2 * dt * phi.apply(3, dn)
-
-
-# ---------------------------------------------------------------------------
 # LEM driver
 
 
@@ -147,15 +99,14 @@ class _LocalCache:
     """Per-subdomain frozen data: restricted Jacobian, exterior couplings,
     phi evaluator, and the affine shift of the quasi-linearization."""
 
-    __slots__ = ("a_loc", "halo", "phi", "g_shift", "idx", "d_pos")
+    __slots__ = ("a_loc", "halo", "phi", "g_shift", "idx")
 
-    def __init__(self, a_loc, halo, phi, g_shift, idx, d_pos):
+    def __init__(self, a_loc, halo, phi, g_shift, idx):
         self.a_loc = a_loc
         self.halo = halo
         self.phi = phi
         self.g_shift = g_shift
         self.idx = idx
-        self.d_pos = d_pos
 
 
 def _build_caches(system: SemiDiscreteSystem, part: Partition, u: np.ndarray,
@@ -168,15 +119,17 @@ def _build_caches(system: SemiDiscreteSystem, part: Partition, u: np.ndarray,
         g_shift = system.rhs(u, t_n) - jac.matvec(u)
     order_max = 3 if cfg.method == "ExpRB3" else 1
     caches = []
-    for i in range(part.D):
-        idx = part.locals[i].indices
-        a_loc = jac.restrict(idx, idx)
-        halo = jac.halo(idx, idx)
-        phi = _phi_for(a_loc, cfg.dt, order_max, cfg)
+    for m_i in part.locals:
+        idx = m_i.indices
+        a_loc = jac.restrict(m_i, m_i)
+        halo = jac.halo(m_i, m_i)
+        if cfg.phi_mode == "KrylovAction":
+            phi = PhiEvaluator.krylov(a_loc, cfg.dt, order_max)
+        else:
+            phi = PhiEvaluator.dense(a_loc, cfg.dt, order_max)
         caches.append(_LocalCache(
             a_loc=a_loc, halo=halo, phi=phi,
-            g_shift=None if g_shift is None else g_shift[idx],
-            idx=idx, d_pos=part.interior_positions(i)))
+            g_shift=None if g_shift is None else g_shift[idx], idx=idx))
     return caches
 
 
@@ -214,7 +167,8 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     Per step: restrict to each M_i with exterior data frozen at t_n, take
     the local exponential step, then gather keeping interiors only.
     Jacobian and phi caches are rebuilt every refresh interval (for linear
-    systems: built once, first step).
+    systems: built once, first step). Krylov dimensions and misses are
+    harvested from the outgoing caches at each rebuild.
     """
     if cfg.method not in _EXP_METHODS:
         raise ValueError(f"run_lem supports {_EXP_METHODS}, got {cfg.method!r}")
@@ -229,43 +183,35 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     u = np.array(system.initial, copy=True)
     trajectory = [u.copy()] if cfg.record_trajectory else None
     caches: Optional[List[_LocalCache]] = None
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    captured: List[str] = []
     dims: List[int] = []
+    misses = 0
 
-    def harvest_dims():
-        for c in caches or []:
+    def harvest():
+        nonlocal misses
+        for c in caches or ():
             dims.extend(c.phi.krylov_dims)
+            misses += c.phi.krylov_misses
 
-    try:
-        with _warnings.catch_warnings(record=True) as wlog:
-            _warnings.simplefilter("always")
-            t_start = time.perf_counter()
-            for s in range(steps):
-                t_n = s * cfg.dt
-                if caches is None or (refresh is not None and s % refresh == 0):
-                    harvest_dims()
-                    caches = _build_caches(system, part, u, t_n, cfg)
-                if pool is None:
-                    locals_out = [
-                        _local_step(system, c, u, t_n, cfg.dt, cfg.method)
-                        for c in caches
-                    ]
-                else:
-                    locals_out = list(pool.map(
-                        lambda c: _local_step(system, c, u, t_n, cfg.dt,
-                                              cfg.method),
-                        caches))
-                u = gather_overwrite(part, locals_out, u)
-                if trajectory is not None:
-                    trajectory.append(u.copy())
-            wall = time.perf_counter() - t_start
-        captured = sorted({str(w.message) for w in wlog})
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    t_start = time.perf_counter()
+    for s in range(steps):
+        t_n = s * cfg.dt
+        if caches is None or (refresh is not None and s % refresh == 0):
+            harvest()
+            caches = _build_caches(system, part, u, t_n, cfg)
+        locals_out = [_local_step(system, c, u, t_n, cfg.dt, cfg.method)
+                      for c in caches]
+        u = gather_overwrite(part, locals_out, u)
+        if trajectory is not None:
+            trajectory.append(u.copy())
+    wall = time.perf_counter() - t_start
 
-    harvest_dims()
+    harvest()
+    captured: List[str] = []
+    if misses:
+        captured.append(
+            f"phi_action_krylov: no convergence within "
+            f"m_max={caches[0].phi.krylov_m_max} in {misses} of "
+            f"{len(dims)} applications")
     sp = stability_params(system, cfg.dt)
     return RunReport(
         case=system.kind, method=cfg.method, D=part.D, B=part.b_nominal,

@@ -262,6 +262,14 @@ class TestSweepAndCsv:
         for a, b in zip(sorted(seq, key=key), sorted(par, key=key)):
             assert a.err_l2_rel == b.err_l2_rel
 
+    def test_workers_contract(self):
+        (case,) = parse_build(CHEAP)
+        with pytest.raises(ValueError):
+            run_sweep(case, workers=0, timing=False)
+        with pytest.raises(ValueError):
+            run_sweep(case, workers=2, timing=True)
+        assert run_sweep(case, workers=1, timing=True)  # as perfbench runs it
+
     def test_dof_updates_column(self):
         (case,) = parse_build(CHEAP)
         reports = run_sweep(case, timing=False)

@@ -63,6 +63,20 @@ def test_run_flags_failed_cells(tmp_path, capsys):
     assert any("run failed" in w for w in row.warnings)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--workers", "2"], "error: --workers N needs --no-timing"),
+    (["--workers", "0", "--no-timing"], "error: --workers must be at least 1"),
+], ids=["timed", "zero"])
+def test_run_rejects_bad_workers(tmp_path, capsys, flags, message):
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text(CHEAP)
+    out = tmp_path / "report.csv"
+    rc = main(["run", str(cfg), "--out", str(out)] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decay_profile(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     rc = main(["decay", "advdiff1d", "--courant", "4", "--out", str(out)])

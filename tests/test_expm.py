@@ -194,14 +194,28 @@ class TestKrylov:
         with pytest.warns(RuntimeWarning):
             phi_action_krylov(a, 5.0, v, 1, tol=1e-14, m_max=8)
 
+    def test_dimension_cap_is_counted(self):
+        a, _ = self.make_operator(n=200, seed=13)
+        v = np.random.default_rng(1).standard_normal(200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the worker reports, never warns
+            _, m_used, converged = _phi_action_krylov(a, 5.0, v, 1, tol=1e-14,
+                                                      m_max=8)
+        assert (m_used, converged) == (8, False)
+        ev = PhiEvaluator.krylov(a, 5.0, order_max=1, tol=1e-14, m_max=8)
+        ev.apply(1, v)
+        ev.apply(1, np.zeros(200))  # a zero vector converges trivially
+        assert ev.krylov_dims == [8, 0]
+        assert ev.krylov_misses == 1
+
     def test_phase_of_vector_is_irrelevant(self):
         # phi(A) (e^{i t} v) = e^{i t} phi(A) v, with the same Arnoldi basis
         # up to the phase: holds only if Gram-Schmidt conjugates the basis
         a = build_schrodinger_1d(200, 10.0, 10.0).linear_matrix
         v = np.random.default_rng(8).standard_normal(200) + 0j
         phase = np.exp(0.7j)
-        w, m = _phi_action_krylov(a, 0.005, v, 1)
-        w_rot, m_rot = _phi_action_krylov(a, 0.005, phase * v, 1)
+        w, m, _ = _phi_action_krylov(a, 0.005, v, 1)
+        w_rot, m_rot, _ = _phi_action_krylov(a, 0.005, phase * v, 1)
         assert m_rot == m
         assert np.linalg.norm(w_rot - phase * w) <= 1e-12 * np.linalg.norm(w)
 
@@ -251,7 +265,7 @@ class TestKrylovKernel:
         v[:r] = rng.standard_normal(r)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, m_used = _phi_action_krylov(dense, dt, v, k, tol=tol, m_max=m_max)
+            _, m_used, _ = _phi_action_krylov(dense, dt, v, k, tol=tol, m_max=m_max)
         assert 1 <= m_used <= min(r, m_max)
         assert m_used % KRYLOV_CHECK_EVERY == 0 or m_used in (r, m_max)
 

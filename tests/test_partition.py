@@ -1,4 +1,4 @@
-"""Partitioning: interiors, buffers, local extraction, and gathering."""
+"""Partitioning: interiors, buffers, interior positions, and gathering."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ import pytest
 from lem import (
     IndexSet,
     Mesh,
-    StabilityParams,
-    build_advdiff_1d,
-    build_burgers_1d,
-    extract_local,
     gather_overwrite,
     make_partition,
-    suggest_buffer,
 )
 
 
@@ -86,48 +81,6 @@ class TestMakePartition:
         assert "8 subdomains" in text
         assert "50 nodes" in text
         assert "36 nodes" in text  # both buffer flanks
-
-
-class TestSuggestBuffer:
-    def test_reference_values(self):
-        assert suggest_buffer(StabilityParams(0.0, 0.0)) == 6
-        assert suggest_buffer(StabilityParams(1.0, 1.0)) == 8
-        assert suggest_buffer(StabilityParams(4.0, 4.0)) == 14
-
-    def test_scales_with_worse_parameter(self):
-        assert (suggest_buffer(StabilityParams(8.0, 1.0))
-                == suggest_buffer(StabilityParams(1.0, 8.0)))
-
-
-class TestExtractLocal:
-    def test_linear_halo_forcing(self):
-        system = build_advdiff_1d(400, 10.0, 1.0, 0.03)
-        part = make_partition(system.mesh, 8, 18)
-        u = np.arange(400, dtype=float)
-        loc = extract_local(system, part, 2, u)
-        g = loc.boundary_forcing
-        nz = np.nonzero(np.abs(g) > 0)[0]
-        # only the outermost local rows couple to frozen exterior data
-        assert list(nz) == [0, len(g) - 1]
-        # the first local row applies the west stencil entry to the exterior
-        dx = system.mesh.dx[0]
-        west = 1.0 / (2 * dx) + 0.03 / dx**2
-        lo = loc.local_to_global.indices[0]
-        assert g[0] == pytest.approx(west * u[lo - 1])
-
-    def test_nonlinear_embedding_matches_global(self):
-        system = build_burgers_1d(64, 10.0, 0.05)
-        part = make_partition(system.mesh, 4, 6)
-        rng = np.random.default_rng(12)
-        u = rng.standard_normal(64)
-        f_global = system.rhs(u, 0.0)
-        loc = extract_local(system, part, 1, u)
-        idx = loc.local_to_global.indices
-        f_local = loc.matrix_or_rhs(u[idx], 0.0)
-        # interior rows see the full stencil, so they match the global rhs
-        pos = part.interior_positions(1)
-        assert np.allclose(f_local[pos], f_global[part.interiors[1].indices],
-                           atol=1e-12)
 
 
 class TestGatherOverwrite:

@@ -1,5 +1,8 @@
 """Time integrators: exponential local/global runs and classical baselines."""
 
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -148,22 +151,34 @@ class TestLocalityError:
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[3] <= 1e-6
 
+    @staticmethod
+    def overlap_gap(system, cfg, b):
+        part = make_partition(system.mesh, 2, b)  # locals are everything
+        u_lem = run_lem(system, part, cfg).final_state
+        u_glob = run_global(system, cfg).final_state
+        return np.max(np.abs(u_lem - u_glob))
+
     def test_maximal_overlap_recovers_global(self):
         system = build_advdiff_1d(64, 10.0, 1.0, 0.03)
         cfg = StepperConfig(method="ExpEuler", dt=0.1, t_end=0.1)
-        part = make_partition(system.mesh, 2, 32)  # locals are everything
-        u_lem = run_lem(system, part, cfg).final_state
-        u_glob = run_global(system, cfg).final_state
-        assert np.max(np.abs(u_lem - u_glob)) <= 1e-12
+        assert self.overlap_gap(system, cfg, 32) <= 1e-12
 
-    def test_workers_do_not_change_result(self):
-        system = build_burgers_1d(96, 10.0, 0.05)
-        part = make_partition(system.mesh, 4, 8)
-        r1 = run_lem(system, part, StepperConfig(
-            method="ExpRB2", dt=0.01, t_end=0.1, workers=1))
-        r3 = run_lem(system, part, StepperConfig(
-            method="ExpRB2", dt=0.01, t_end=0.1, workers=3))
-        assert np.array_equal(r1.final_state, r3.final_state)
+    OVERLAP_CASES = [
+        # local ExpRB3 stages, which evaluate the embedded nonlinear rhs
+        ("burgers-exprb3", lambda: build_burgers_1d(64, 10.0, 0.05),
+         dict(method="ExpRB3", dt=0.025, t_end=0.25), 32),
+        # Krylov actions inside run_lem on a clipped Dirichlet mesh
+        ("porous-krylov", lambda: build_porous_1d(64, 10.0),
+         dict(method="ExpRB2", dt=0.01, t_end=0.1,
+              phi_mode="KrylovAction"), 64),
+    ]
+
+    @pytest.mark.parametrize("name,make,kwargs,b", OVERLAP_CASES,
+                             ids=[c[0] for c in OVERLAP_CASES])
+    def test_maximal_overlap_recovers_global_nonlinear(self, name, make,
+                                                       kwargs, b):
+        cfg = StepperConfig(**kwargs)
+        assert self.overlap_gap(make(), cfg, b) <= 1e-12
 
     def test_krylov_mode_matches_dense(self):
         system = build_advdiff_1d(128, 10.0, 1.0, 0.03)
@@ -177,6 +192,35 @@ class TestLocalityError:
         rep = run_lem(system, part, StepperConfig(
             method="ExpEuler", dt=0.1, t_end=0.5, phi_mode="KrylovAction"))
         assert rep.krylov_avg_dim > 0
+
+
+class TestKrylovMisses:
+    @staticmethod
+    def krylov_cell(dt):
+        system = build_advdiff_1d(200, 10.0, 1.0, 0.03)
+        part = make_partition(system.mesh, 4, 8)
+        return run_lem(system, part, StepperConfig(
+            method="ExpEuler", dt=dt, t_end=4.0, phi_mode="KrylovAction"))
+
+    def test_misses_reported_once_per_cell(self):
+        rep = self.krylov_cell(2.0)
+        assert rep.warnings == [
+            "phi_action_krylov: no convergence within m_max=60 "
+            "in 3 of 8 applications"]
+
+    def test_concurrent_cells_keep_their_own_warnings(self):
+        # cells run side by side, as under run_sweep's cell pool: each
+        # report must carry its own misses only, and no run may leave
+        # warning filters behind
+        filters = list(warnings.filters)
+        dts = (2.0, 0.05, 2.0, 0.05)  # non-converging, converging, twice
+        sequential = {dt: self.krylov_cell(dt).warnings for dt in set(dts)}
+        assert sequential[2.0] and sequential[0.05] == []
+        with ThreadPoolExecutor(2) as pool:
+            reports = list(pool.map(self.krylov_cell, dts))
+        for dt, rep in zip(dts, reports):
+            assert rep.warnings == sequential[dt]
+        assert warnings.filters == filters
 
 
 class TestOrders:
