@@ -3,18 +3,25 @@
 The local exponential method needs three flavors of exponential machinery:
 
 * `expm_dense` - scaling and squaring with a diagonal Pade approximant of
-  order 13, scaling until the norm of the scaled matrix is at most 0.5.
+  order 13, scaling until the 1-norm of the scaled matrix is at most
+  theta_13 = 5.37 (Al-Mohy & Higham, SIMAX 2009).
 * `phi_k_dense` / `phi_dense_all` - the entire-function family
   phi_0(z) = exp(z), phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!)/z, evaluated for a
-  full matrix argument through one exponential of a block-augmented matrix,
-  which stays well defined for singular arguments.
+  full matrix argument as the top block row of exp(W), with
+  W = [[A, I, 0, ...], [0, J_k kron I]], which stays well defined for
+  singular arguments. `expm_dense(a, k)` never forms the (k + 1) n matrix
+  W: every power, Pade polynomial, solve and squaring of W keeps the form
+  [[X, Y_1 ... Y_k], [0, T kron I]] (`_Block`), so each costs n x n by
+  n x (k + 1) n work. Squaring that form is the phi-function doubling of
+  Skaflestad & Wright (APNUM 2009). Before each squaring, entries below
+  eps^2 times the largest are dropped, since their subnormal fill-in would
+  slow the squarings several times over.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
   and phi_k(dt H_m) e_1 comes from one exponential of the (m + k)-sized
-  matrix [[H_m, e_1, 0], [0, J_k]] (`phi_hessenberg_e1`), not of the
-  (k + 1) m block matrix `phi_dense_all` uses. That exponential and the
-  stopping test run only every KRYLOV_CHECK_EVERY steps, at happy
+  matrix [[H_m, e_1, 0], [0, J_k]] (`phi_hessenberg_e1`). That exponential
+  and the stopping test run only every KRYLOV_CHECK_EVERY steps, at happy
   breakdown and at m_max, as in phipm (Niesen & Wright, TOMS 2012) and
   KIOPS (Gaudreault, Rainwater & Tokman, JCP 2018).
 
@@ -42,41 +49,73 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 
-# scaled norm target for scaling and squaring
-_SCALING_TARGET = 0.5
+# largest 1-norm at which the order-13 Pade approximant has backward error
+# at most the unit roundoff (Al-Mohy & Higham, SIMAX 2009, Table 3.1)
+_THETA13 = 5.371920351148152
+
+# before each squaring of a phi build, entries below this times the largest
+# one are set to zero, so that decaying fill-in never turns subnormal
+_DROP = np.finfo(float).eps ** 2
 
 # Arnoldi steps between Krylov convergence tests (each test costs one dense
 # exponential of size m + k)
 KRYLOV_CHECK_EVERY = 4
 
 
-def expm_dense(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade order 13 with scaling and squaring.
+class _Block:
+    """[[X, Y_1 ... Y_k], [0, T kron I]], stored as its top block row and T.
 
-    The scaling exponent is chosen so that the 1-norm of the scaled matrix is
-    at most 0.5, where the Pade approximant has relative error far below
-    1e-13. Raises on non-square, non-finite input or overflow.
+    `f` is the n x (k + 1) n row [X, Y_1, ..., Y_k] and `t` the k x k
+    scalar matrix T. Sums, scalar multiples, products and solves of such
+    matrices keep the form, so a product costs one n x n by n x (k + 1) n
+    matmul and a solve one LU of the n x n block.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm_dense expects a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("expm_dense: non-finite entries in input")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=a.dtype)
 
-    norm = np.max(np.sum(np.abs(a), axis=0)) if n else 0.0
-    if norm == 0.0:
-        return np.eye(n, dtype=np.result_type(a.dtype, np.float64))
-    squarings = max(0, int(math.ceil(math.log2(norm / _SCALING_TARGET)))) if norm > _SCALING_TARGET else 0
-    b = a / (2.0 ** squarings)
+    __slots__ = ("f", "t")
 
+    def __init__(self, f: np.ndarray, t: np.ndarray):
+        self.f = f
+        self.t = t
+
+    def _mix(self, t: np.ndarray) -> np.ndarray:
+        """[Y_1 ... Y_k] (t kron I): column block j is sum_i t[i, j] Y_i."""
+        n, k = self.f.shape[0], self.t.shape[0]
+        y = self.f[:, n:].reshape(n, k, n)
+        return np.matmul(t.T, y).reshape(n, k * n)
+
+    def __matmul__(self, other: "_Block") -> "_Block":
+        n = self.f.shape[0]
+        f = self.f[:, :n] @ other.f
+        f[:, n:] += self._mix(other.t)
+        return _Block(f, self.t @ other.t)
+
+    def __add__(self, other: "_Block") -> "_Block":
+        return _Block(self.f + other.f, self.t + other.t)
+
+    def __sub__(self, other: "_Block") -> "_Block":
+        return _Block(self.f - other.f, self.t - other.t)
+
+    def __rmul__(self, c: float) -> "_Block":
+        return _Block(c * self.f, c * self.t)
+
+    def solve(self, rhs: "_Block") -> "_Block":
+        """self^{-1} rhs: X^{-1} [R_X, R_Y - Y (S kron I)] with S = T^{-1} R_T."""
+        n = self.f.shape[0]
+        s = np.linalg.solve(self.t, rhs.t)
+        g = rhs.f.copy()
+        g[:, n:] -= self._mix(s)
+        return _Block(np.linalg.solve(self.f[:, :n], g), s)
+
+
+def _pade13(b, ident):
+    """(U, V) of the order-13 Pade approximant (V - U)^{-1} (V + U) to exp(b).
+
+    `b` and `ident` are both ndarrays or both `_Block`s.
+    """
     b2 = b @ b
     b4 = b2 @ b2
     b6 = b2 @ b4
     c = _PADE13
-    ident = np.eye(n, dtype=b.dtype)
     u = b @ (
         b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
         + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident
@@ -85,37 +124,71 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
         b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
         + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident
     )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    return u, v
+
+
+def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
+    """exp(A) for k = 0, else the top block row [phi_0(A), ..., phi_k(A)].
+
+    For 1 <= k <= 3 this is the n x (k + 1) n top block row of exp(W), with
+    W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the k x k upper shift; it
+    is well defined for singular A. W is never formed: the Pade 13 scaling
+    and squaring runs on `_Block`s, and before each squaring the entries
+    below eps^2 times the largest are set to zero. The scaling brings
+    ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at most theta_13,
+    where the approximant's backward error is at most the unit roundoff.
+    Raises ValueError on a non-square or non-finite input and OverflowError
+    on overflow.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expm_dense expects a square matrix")
+    if not 0 <= k <= 3:
+        raise ValueError("phi order must be between 0 and 3")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("expm_dense: non-finite entries in input")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=a.dtype)
+
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if k:
+        norm = max(norm, 1.0)
+    elif norm == 0.0:
+        return np.eye(n, dtype=np.result_type(a.dtype, np.float64))
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
+    scale = 2.0 ** squarings
+
+    if k == 0:
+        b = a / scale
+        u, v = _pade13(b, np.eye(n, dtype=b.dtype))
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(squarings):
+            r = r @ r
+    else:
+        ident = np.zeros((n, (k + 1) * n), dtype=np.promote_types(a.dtype, np.float64))
+        ident[:, :n] = np.eye(n)
+        w = np.zeros_like(ident)  # top block row [A, I, 0, ...] of W
+        w[:, :n] = a
+        w[:, n:2 * n] = np.eye(n)
+        b = _Block(w / scale, np.eye(k, k=1) / scale)
+        u, v = _pade13(b, _Block(ident, np.eye(k)))
+        blk = (v - u).solve(v + u)
+        for _ in range(squarings):
+            mag = np.abs(blk.f)
+            blk.f[mag < _DROP * mag.max()] = 0.0
+            blk = blk @ blk
+        r = blk.f
     if not np.all(np.isfinite(r)):
         raise OverflowError("expm_dense: overflow during squaring phase")
     return r
 
 
 def phi_dense_all(a: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """[phi_0(A), ..., phi_{k_max}(A)] via one block-augmented exponential.
-
-    exp of the block matrix [[A, I, 0, ...], [0, 0, I, ...], ...] carries
-    phi_j(A) in its (0, j) block, so a single dense exponential of size
-    (k_max + 1) n yields the whole family, including for singular A.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("phi_dense_all expects a square matrix")
-    if not 0 <= k_max <= 3:
-        raise ValueError("phi order must be between 0 and 3")
-    if k_max == 0:
-        return [expm_dense(a)]
-    n = a.shape[0]
-    dtype = np.promote_types(a.dtype, np.float64)
-    w = np.zeros(((k_max + 1) * n, (k_max + 1) * n), dtype=dtype)
-    w[:n, :n] = a
-    ident = np.eye(n, dtype=dtype)
-    for b in range(k_max):
-        w[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = ident
-    e = expm_dense(w)
-    return [e[:n, j * n:(j + 1) * n] for j in range(k_max + 1)]
+    """[phi_0(A), ..., phi_{k_max}(A)]: the n x n blocks of expm_dense(a, k_max)."""
+    e = expm_dense(a, k_max)
+    n = e.shape[0]
+    return [e[:, j * n:(j + 1) * n] for j in range(k_max + 1)]
 
 
 def phi_k_dense(a: np.ndarray, k: int) -> np.ndarray:
@@ -137,8 +210,9 @@ def phi_hessenberg_e1(h: np.ndarray, k: int) -> np.ndarray:
 
     exp of [[H, e_1, 0, ...], [0, J_k]], with J_k the k x k upper shift,
     carries phi_j(H) e_1 in its column m + j - 1, so the first m entries of
-    its last column are phi_k(H) e_1 (Sidje, Expokit, TOMS 1998). The
-    argument is (m + k)^2 in size where `phi_dense_all` needs ((k + 1) m)^2.
+    its last column are phi_k(H) e_1 (Sidje, Expokit, TOMS 1998). One
+    column is all a Krylov step needs, and this exponential costs about
+    (m + k)^3 where `expm_dense(h, k)` costs (k + 1) m^3.
     """
     h = np.asarray(h)
     m = h.shape[0]

@@ -439,27 +439,29 @@ def build_burgers_1d(n: int, L: float, nu: float = 0.05,
         sigma = L / 20.0
     initial = _gaussian(mesh.coords(), L / 2, sigma)
 
-    def _states(u):
-        dl = u - np.roll(u, 1)
-        dr = np.roll(u, -1) - u
-        sl = _minmod(dl, dr)
-        ul = u + 0.5 * sl                      # left state at interface j+1/2
-        ur = np.roll(u, -1) - 0.5 * np.roll(sl, -1)  # right state
+    def _states(w):
+        """Interface states at j+1/2, j = -1..n-1, of the ghost-padded w."""
+        d = w[1:] - w[:-1]                     # d[j + 1] = u_j - u_{j-1}
+        sl = _minmod(d[:-1], d[1:])            # slopes of u_{-1}..u_n
+        ul = w[1:-2] + 0.5 * sl[:-1]           # left state at interface j+1/2
+        ur = w[2:-1] - 0.5 * sl[1:]            # right state
         return ul, ur
 
     def rhs(u, t=0.0):
-        ul, ur = _states(u)
+        w = np.concatenate((u[-2:], u, u[:2]))  # w[j + 2] = u_j, periodic
+        ul, ur = _states(w)
         a = np.maximum(np.abs(ul), np.abs(ur))
         flux = 0.5 * (0.5 * ul**2 + 0.5 * ur**2) - 0.5 * a * (ur - ul)
-        conv = -(flux - np.roll(flux, 1)) / dx
-        diff = nu * (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx**2
+        conv = -(flux[1:] - flux[:-1]) / dx
+        diff = nu * (w[3:-1] - 2 * w[2:-2] + w[1:-3]) / dx**2
         return conv + diff
 
     def jacobian(u):
         dl = u - np.roll(u, 1)
         dr = np.roll(u, -1) - u
         use_dl, use_dr = _minmod_branch(dl, dr)
-        ul, ur = _states(u)
+        ul, ur = _states(np.concatenate((u[-2:], u, u[:2])))
+        ul, ur = ul[1:], ur[1:]
         a = np.maximum(np.abs(ul), np.abs(ur))
 
         # reconstruction weights: ul_j = u_j + 0.5*minmod(dl_j, dr_j)

@@ -24,6 +24,7 @@ from lem.expm import KRYLOV_CHECK_EVERY, _phi_action_krylov, phi_hessenberg_e1
 from lem.models import (
     build_advdiff_2d,
     build_advection_dirichlet_1d,
+    build_burgers_1d,
     build_schrodinger_1d,
 )
 
@@ -118,6 +119,76 @@ class TestPhiDense:
         z = np.array([2.0, -1.0, 0.5])
         got = phi_k_dense(np.diag(z), 1)
         assert np.allclose(np.diag(got), np.expm1(z) / z, atol=1e-14)
+
+
+def augmented_phis(a, k):
+    """[phi_0(A) .. phi_k(A)] from scipy's expm of the explicit (k+1)n matrix
+    [[A, I, 0, ...], [0, 0, I, ...], ...]."""
+    n = a.shape[0]
+    w = np.zeros(((k + 1) * n, (k + 1) * n), dtype=np.promote_types(a.dtype, np.float64))
+    w[:n, :n] = a
+    for b in range(k):
+        w[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = np.eye(n)
+    e = scipy.linalg.expm(w)
+    return [e[:n, j * n:(j + 1) * n] for j in range(k + 1)]
+
+
+def assert_blocks_close(got, want, rtol):
+    assert len(got) == len(want)
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape
+        assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w), f"phi_{j}"
+
+
+class TestStructuredPhi:
+    """phi_dense_all against the explicit block-augmented exponential."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(1, 3), complex_=st.booleans(),
+           scale=st.floats(1e-3, 3.0), shape=st.sampled_from(["full", "singular", "zero"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_augmented_oracle(self, n, k, complex_, scale, shape, seed):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((n, n))
+        if complex_:
+            a = a + 1j * scale * rng.standard_normal((n, n))
+        if shape == "singular":
+            a[rng.integers(n), :] = 0.0
+        elif shape == "zero":
+            a[:] = 0.0
+        got = phi_dense_all(a, k)
+        assert np.iscomplexobj(got[0]) == complex_
+        assert_blocks_close(got, augmented_phis(a, k), 1e-12)
+
+    def test_burgers_jacobian_with_decaying_fill_in(self):
+        # the exponential of this banded operator decays super-exponentially
+        # off the diagonal, so unpruned squarings fill in with subnormals
+        system = build_burgers_1d(400, 10.0, 0.05)
+        a = 0.05 * system.jacobian(system.initial).to_dense()
+        assert_blocks_close(phi_dense_all(a, 3), augmented_phis(a, 3), 1e-12)
+
+    def test_top_block_row_shape(self):
+        a = np.random.default_rng(2).standard_normal((7, 7))
+        for k in range(4):
+            assert expm_dense(a, k).shape == (7, 7 * (k + 1))
+        assert np.array_equal(phi_dense_all(a, 2)[0], expm_dense(a, 2)[:, :7])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            phi_dense_all(1000.0 * np.eye(5), 1)
+
+    def test_non_finite_input_raises(self):
+        a = np.eye(4)
+        a[1, 2] = np.nan
+        for k in (1, 3):
+            with pytest.raises(ValueError):
+                phi_dense_all(a, k)
+
+    def test_order_out_of_range(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError):
+                expm_dense(np.eye(3), k)
 
 
 class TestIserlesBound:

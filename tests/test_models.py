@@ -204,6 +204,35 @@ class TestBurgers1D:
         got = system.rhs(u, 0.0)
         assert np.allclose(got, [0.25, -2.75, 3.25, -0.75], atol=1e-14)
 
+    @staticmethod
+    def roll_rhs(u, dx, nu):
+        """Frozen np.roll transcription of the Burgers rhs."""
+        def minmod(dl, dr):
+            return np.where(dl * dr <= 0, 0.0,
+                            np.where(np.abs(dl) <= np.abs(dr), dl, dr))
+
+        dl = u - np.roll(u, 1)
+        dr = np.roll(u, -1) - u
+        sl = minmod(dl, dr)
+        ul = u + 0.5 * sl
+        ur = np.roll(u, -1) - 0.5 * np.roll(sl, -1)
+        a = np.maximum(np.abs(ul), np.abs(ur))
+        flux = 0.5 * (0.5 * ul**2 + 0.5 * ur**2) - 0.5 * a * (ur - ul)
+        conv = -(flux - np.roll(flux, 1)) / dx
+        diff = nu * (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx**2
+        return conv + diff
+
+    @pytest.mark.parametrize("n", [4, 5, 96, 400])
+    def test_rhs_bitwise_equals_roll_form(self, n):
+        system = build_burgers_1d(n, 10.0, 0.05)
+        rng = np.random.default_rng(n)
+        x = system.mesh.coords()
+        for u in (system.initial, rng.standard_normal(n),
+                  np.sin(2 * np.pi * x / 10.0), np.zeros(n)):
+            got = system.rhs(u, 0.0)
+            want = self.roll_rhs(u, system.mesh.dx[0], 0.05)
+            assert np.array_equal(got, want)
+
     def test_conservative(self):
         system = build_burgers_1d(96, 10.0, 0.05)
         rng = np.random.default_rng(8)
