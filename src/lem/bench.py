@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
@@ -173,6 +174,8 @@ def _parse_row(item: str) -> dict:
         if key not in ("C", "mu", "B", "dt"):
             raise ValueError(f"unknown row key {key!r} (use C, mu, B, dt)")
         row[key] = float(val)
+        if key != "B" and not (math.isfinite(row[key]) and row[key] > 0):
+            raise ValueError(f"{key} must be positive and finite, got {val!r}")
     if "B" not in row:
         raise ValueError("row needs a buffer size B=<count>")
     if not any(k in row for k in ("C", "mu", "dt")):
@@ -222,6 +225,9 @@ def parse_config(path: str) -> List[BenchCase]:
             except ValueError:
                 _fail(path, text, section, "T",
                       f"malformed number {sec['T']!r} for T")
+            if not (math.isfinite(t_end) and t_end > 0):
+                _fail(path, text, section, "T",
+                      f"T must be positive and finite, got {sec['T']!r}")
 
         oracle = sec.get("oracle", reg["oracle"]).strip()
         if oracle not in _ORACLES:
@@ -264,6 +270,9 @@ def parse_config(path: str) -> List[BenchCase]:
             except ValueError:
                 _fail(path, text, section, "refresh",
                       f"malformed refresh {sec['refresh']!r}")
+            if refresh < 1:
+                _fail(path, text, section, "refresh",
+                      f"refresh interval must be at least 1, got {sec['refresh']!r}")
 
         phi_mode = sec.get("phi_mode", "DenseStored").strip()
         if phi_mode not in _PHI_MODES:
@@ -358,7 +367,7 @@ def _row_dt(row: dict, system: SemiDiscreteSystem, t_end: float) -> float:
     h = min(system.mesh.dx)
     if "dt" in row:
         dt = row["dt"]
-    elif "C" in row and row["C"] > 0:
+    elif "C" in row:
         speed = system.wave_speed(system.initial)
         if speed == 0:
             raise ValueError("case has no wave speed; set the step via mu= or dt=")

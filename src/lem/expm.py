@@ -306,8 +306,10 @@ class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
 
     DenseStored mode precomputes phi_1..phi_{order_max}(dt A) once and applies
-    them by matrix-vector products; KrylovAction mode runs an Arnoldi
-    iteration per application, recording its dimension in `krylov_dims` and
+    them by matrix-vector products. `stacked` joins the stored matrices of
+    several equal-size operators along a leading batch axis, so one `apply`
+    serves all of them. KrylovAction mode runs an Arnoldi iteration per
+    application of one vector, recording its dimension in `krylov_dims` and
     counting applications that hit m_max unconverged in `krylov_misses`.
     Both evaluate the same mathematical object.
     """
@@ -334,11 +336,23 @@ class PhiEvaluator:
         return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a,
                    krylov_tol=tol, krylov_m_max=m_max)
 
+    @classmethod
+    def stacked(cls, members: list) -> "PhiEvaluator":
+        """One DenseStored evaluator for equal-size DenseStored `members`,
+        whose phi_k is the (G, m, m) stack of the members' phi_k."""
+        first = members[0]
+        cached = [None] + [np.stack([e._cached[k] for e in members])
+                           for k in range(1, first.order_max + 1)]
+        return cls(mode="DenseStored", dt=first.dt, order_max=first.order_max,
+                   _cached=cached)
+
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
+        """phi_k(dt A) vec. DenseStored: `vec` of shape (..., m), batched
+        against a stack of phi_k; KrylovAction: one vector of length m."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            return self._cached[k] @ vec
+            return (self._cached[k] @ vec[..., None])[..., 0]
         result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec, k,
             tol=self.krylov_tol, m_max=self.krylov_m_max,

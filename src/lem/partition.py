@@ -4,9 +4,14 @@ Each subdomain owns a contiguous interior block D_i; the local problem is
 solved on M_i = D_i union B_i, where the buffer B_i absorbs the influence
 of the rest of the mesh over one step. After the step only interior values
 are kept, so every global degree of freedom is written by exactly one
-subdomain. A `Partition` stores the position of D_i inside M_i once, at
-construction, and `gather_overwrite` reads those stored positions every
-step. The drivers that restrict an operator to M_i live in `steppers`.
+subdomain. The drivers that restrict an operator to M_i live in `steppers`.
+
+The drivers advance all subdomains at once on one flat local vector: the
+M_i concatenated in partition order (`Partition.flat_locals`, one slice
+per subdomain between consecutive `offsets`). A `Partition` computes at
+construction, for every mesh node, the position in that vector of its
+owner's value (`owner_positions`), and `gather_overwrite` reads it every
+step.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ class Partition:
     layout: str
     n_total: int
     b_nominal: int = 0
-    _positions: List[np.ndarray] = field(init=False, repr=False, compare=False)
+    flat_locals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D != len(self.interiors) or self.D != len(self.buffers):
@@ -56,14 +63,16 @@ class Partition:
                 raise ValueError(f"local set of subdomain {i} is not D_i union B_i")
         if not seen.all():
             raise ValueError("interiors must cover every mesh index")
-        positions = [m.positions_of(d) for m, d in zip(self.locals, self.interiors)]
-        for pos in positions:
-            pos.setflags(write=False)
-        object.__setattr__(self, "_positions", positions)
-
-    def interior_positions(self, i: int) -> np.ndarray:
-        """Positions of D_i inside M_i (for gathering local results)."""
-        return self._positions[i]
+        offsets = np.cumsum([0] + [len(m) for m in self.locals])
+        owners = np.empty(self.n_total, dtype=np.int64)
+        for i, (m_i, d_i) in enumerate(zip(self.locals, self.interiors)):
+            owners[d_i.indices] = offsets[i] + m_i.positions_of(d_i)
+        flat = np.concatenate([m.indices for m in self.locals])
+        for arr in (offsets, owners, flat):
+            arr.setflags(write=False)
+        object.__setattr__(self, "flat_locals", flat)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "owner_positions", owners)
 
     def describe(self) -> str:
         lines = [f"{self.layout}: {self.D} subdomains over {self.n_total} nodes"]
@@ -78,7 +87,7 @@ class Partition:
     @property
     def dof_updates_per_step(self) -> int:
         """Total degrees of freedom written per step, buffers included."""
-        return sum(len(m) for m in self.locals)
+        return len(self.flat_locals)
 
 
 def _block_sizes(n: int, d: int) -> List[int]:
@@ -151,19 +160,18 @@ def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
                      n_total=mesh.n_total, b_nominal=b_eff)
 
 
-def gather_overwrite(part: Partition, locals_out: List[np.ndarray],
+def gather_overwrite(part: Partition, local_flat: np.ndarray,
                      u_next: np.ndarray) -> np.ndarray:
-    """Assemble the next global state from local results, interiors only.
+    """Assemble the next global state from the flat local result, interiors only.
 
-    Buffer results are discarded; every global index receives the value
-    computed by its unique owner.
+    `local_flat` holds every subdomain's result on M_i, concatenated in
+    partition order (`part.flat_locals`). Buffer results are discarded;
+    every global index receives the value computed by its unique owner. The
+    result has the common dtype of `local_flat` and `u_next`.
     """
-    if len(locals_out) != part.D:
-        raise ValueError(f"expected {part.D} local results, got {len(locals_out)}")
-    dtype = np.result_type(u_next.dtype, *(v.dtype for v in locals_out))
-    out = np.empty(part.n_total, dtype=dtype)
-    for i, v_loc in enumerate(locals_out):
-        if v_loc.shape != (len(part.locals[i]),):
-            raise ValueError(f"local result {i} has wrong length")
-        out[part.interiors[i].indices] = v_loc[part.interior_positions(i)]
-    return out
+    if local_flat.shape != (part.dof_updates_per_step,):
+        raise ValueError(f"expected a flat local result of length "
+                         f"{part.dof_updates_per_step}, got shape {local_flat.shape}")
+    out = local_flat[part.owner_positions]
+    dtype = np.result_type(u_next.dtype, local_flat.dtype)
+    return out if out.dtype == dtype else out.astype(dtype)

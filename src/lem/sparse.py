@@ -101,19 +101,49 @@ class BandedSparseMatrix:
             keep = vals != 0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
+        self._set(n_rows, n_cols, rows, cols, vals)
+        if bandwidth_hint is not None and self.bandwidth > bandwidth_hint:
+            raise ValueError(
+                f"effective bandwidth {self.bandwidth} exceeds hint {bandwidth_hint}"
+            )
+
+    def _set(self, n_rows, n_cols, rows, cols, vals) -> None:
+        """Store coalesced, nonzero, row-major entries and compile the CSR form."""
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.rows, self.cols, self.vals = rows, cols, vals
         for a in (self.rows, self.cols, self.vals):
             a.setflags(write=False)
         self.bandwidth = int(np.max(np.abs(rows - cols))) if rows.size else 0
-        if bandwidth_hint is not None and self.bandwidth > bandwidth_hint:
-            raise ValueError(
-                f"effective bandwidth {self.bandwidth} exceeds hint {bandwidth_hint}"
-            )
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n_rows), out=indptr[1:])
         self._csr = _sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_rows, self.n_cols)
+            (vals, cols, indptr), shape=(self.n_rows, self.n_cols)
         )
+
+    @classmethod
+    def vstack(cls, blocks, diagonal: bool = False) -> "BandedSparseMatrix":
+        """The blocks one below the other, sharing columns or block diagonal.
+
+        With `diagonal=True` each block's columns are offset past those of
+        the blocks above it. The blocks' entries are reused without another
+        sort or coalesce, so every row of the result holds its block row's
+        entries in their order and matvec sums them in the same order. A
+        single block is returned as it is.
+        """
+        if len(blocks) == 1:
+            return blocks[0]
+        row_off = np.cumsum([0] + [b.n_rows for b in blocks])
+        col_off = (np.cumsum([0] + [b.n_cols for b in blocks]) if diagonal
+                   else np.zeros(len(blocks) + 1, dtype=np.int64))
+        out = cls.__new__(cls)
+        out._set(
+            row_off[-1], col_off[-1] if diagonal else blocks[0].n_cols,
+            np.concatenate([b.rows + r for b, r in zip(blocks, row_off)]),
+            np.concatenate([b.cols + c for b, c in zip(blocks, col_off)]),
+            np.concatenate([b.vals for b in blocks]),
+        )
+        return out
 
     @classmethod
     def from_dense(cls, a) -> "BandedSparseMatrix":

@@ -1,9 +1,13 @@
 """Time integrators: exponential (global and subdomain-local) and classical.
 
-`run_lem` is the one exponential driver: a sequential loop that, per step,
-advances every subdomain with `_local_step` on data frozen at t_n and
-gathers the interiors. `run_global` runs exponential methods through it on
-the one-subdomain partition, so both share one step formula.
+`run_lem` is the one exponential driver. Per step it advances all
+subdomains at once on data frozen at t_n and gathers the interiors: the
+local states are one flat vector, the residual is two sparse matvecs (the
+block-diagonal local operators and the stacked exterior couplings), each
+group of equal-size subdomains takes one batched phi product (Krylov
+subdomains one Arnoldi action each), and one scatter keeps the interiors.
+`run_global` runs exponential methods through it on the one-subdomain
+partition, so both share one step formula.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -38,6 +42,7 @@ from .expm import PhiEvaluator
 from .models import SemiDiscreteSystem, stability_params
 from .partition import Partition, gather_overwrite, make_partition
 from .reports import RunReport
+from .sparse import BandedSparseMatrix
 
 __all__ = [
     "StepperConfig",
@@ -95,80 +100,121 @@ class StepperConfig:
 # LEM driver
 
 
-class _LocalCache:
-    """Per-subdomain frozen data: restricted Jacobian, exterior couplings,
-    phi evaluator, and the affine shift of the quasi-linearization."""
+class _StackedStep:
+    """Every subdomain's data frozen at one rebuild, stacked for one step.
 
-    __slots__ = ("a_loc", "halo", "phi", "g_shift", "idx")
+    The local states live on one flat vector, the M_i concatenated in
+    partition order (`Partition.flat_locals`). `a_sum` is diag(A_1 ... A_D)
+    acting on it and `halo` the stacked exterior couplings [H_1; ...; H_D]
+    acting on the global state, both built from each subdomain's own
+    `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
+    A_i v_i + H_i u bitwise. Subdomains of equal size share one stacked
+    DenseStored phi evaluator; a lone subdomain, and every Krylov one,
+    keeps its own. A `groups` entry is (slice or index array into the flat
+    vector, shape of the evaluator's input, evaluator).
+    """
 
-    def __init__(self, a_loc, halo, phi, g_shift, idx):
-        self.a_loc = a_loc
-        self.halo = halo
-        self.phi = phi
-        self.g_shift = g_shift
-        self.idx = idx
+    __slots__ = ("system", "part", "dt", "method", "a_sum", "halo", "g_shift",
+                 "groups")
 
-
-def _build_caches(system: SemiDiscreteSystem, part: Partition, u: np.ndarray,
-                  t_n: float, cfg: StepperConfig) -> List[_LocalCache]:
-    if system.is_linear:
-        jac = system.linear_matrix
-        g_shift = None
-    else:
-        jac = system.jacobian(u)
-        g_shift = system.rhs(u, t_n) - jac.matvec(u)
-    order_max = 3 if cfg.method == "ExpRB3" else 1
-    caches = []
-    for m_i in part.locals:
-        idx = m_i.indices
-        a_loc = jac.restrict(m_i, m_i)
-        halo = jac.halo(m_i, m_i)
-        if cfg.phi_mode == "KrylovAction":
-            phi = PhiEvaluator.krylov(a_loc, cfg.dt, order_max)
+    def __init__(self, system: SemiDiscreteSystem, part: Partition,
+                 u: np.ndarray, t_n: float, cfg: StepperConfig):
+        if system.is_linear:
+            jac = system.linear_matrix
+            g_shift = None
         else:
-            phi = PhiEvaluator.dense(a_loc, cfg.dt, order_max)
-        caches.append(_LocalCache(
-            a_loc=a_loc, halo=halo, phi=phi,
-            g_shift=None if g_shift is None else g_shift[idx], idx=idx))
-    return caches
+            jac = system.jacobian(u)
+            g_shift = system.rhs(u, t_n) - jac.matvec(u)
+        order_max = 3 if cfg.method == "ExpRB3" else 1
+        krylov = cfg.phi_mode == "KrylovAction"
+        a_locs, halos, phis = [], [], []
+        for m_i in part.locals:
+            a_loc = jac.restrict(m_i, m_i)
+            a_locs.append(a_loc)
+            halos.append(jac.halo(m_i, m_i))
+            if krylov:
+                phis.append(PhiEvaluator.krylov(a_loc, cfg.dt, order_max))
+            else:
+                phis.append(PhiEvaluator.dense(a_loc, cfg.dt, order_max))
+        self.system, self.part = system, part
+        self.dt, self.method = cfg.dt, cfg.method
+        self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
+        self.halo = BandedSparseMatrix.vstack(halos)
+        self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
 
+        # dense subdomains are grouped by size; a Krylov one is its own group
+        members = {}
+        for i, m_i in enumerate(part.locals):
+            members.setdefault(i if krylov else len(m_i), []).append(i)
+        off = part.offsets
+        self.groups = []
+        for ids in members.values():
+            size = len(part.locals[ids[0]])
+            if ids[-1] - ids[0] == len(ids) - 1:  # consecutive subdomains
+                sel = slice(off[ids[0]], off[ids[-1] + 1])
+            else:
+                sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in ids])
+            if len(ids) == 1:
+                self.groups.append((sel, (size,), phis[ids[0]]))
+            else:
+                self.groups.append((sel, (len(ids), size),
+                                    PhiEvaluator.stacked([phis[i] for i in ids])))
 
-def _local_step(system: SemiDiscreteSystem, cache: _LocalCache,
-                u: np.ndarray, t_n: float, dt: float, method: str) -> np.ndarray:
-    v = u[cache.idx]
-    b = cache.halo.matvec(u)
-    if system.forcing is not None:
-        b = b + system.forcing(t_n)[cache.idx]
+    @property
+    def evaluators(self) -> List[PhiEvaluator]:
+        return [phi for _, _, phi in self.groups]
 
-    if method == "ExpRB3" and not system.is_linear:
-        # stages evaluate the true local rhs with exterior frozen at t_n
-        def f_loc(w):
-            full = u.copy()
-            full[cache.idx] = w
-            return system.rhs(full, t_n)[cache.idx]
+    def phi(self, k: int, x: np.ndarray) -> np.ndarray:
+        """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
+        if len(self.groups) == 1:
+            sel, shape, phi = self.groups[0]
+            return phi.apply(k, x.reshape(shape)).reshape(-1)
+        parts = [(sel, phi.apply(k, x[sel].reshape(shape)))
+                 for sel, shape, phi in self.groups]
+        out = np.empty(len(x), dtype=np.result_type(*(y for _, y in parts)))
+        for sel, y in parts:
+            out[sel] = y.reshape(-1)
+        return out
 
-        f_n = f_loc(v)
-        u_2 = v + dt * cache.phi.apply(1, f_n)
-        dn = f_loc(u_2) - f_n - cache.a_loc.matvec(u_2 - v)
-        return u_2 + 2 * dt * cache.phi.apply(3, dn)
+    def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
+        """One step of every subdomain from u at t_n, as one flat vector."""
+        system, dt, idx = self.system, self.dt, self.part.flat_locals
+        v = u[idx]
+        if self.method == "ExpRB3" and not system.is_linear:
+            # stages evaluate the true local rhs with exterior frozen at t_n;
+            # at the local states u[idx] that is the global rhs restricted
+            f_n = system.rhs(u, t_n)[idx]
+            u_2 = v + dt * self.phi(1, f_n)
+            f_2 = np.empty_like(u_2)
+            off = self.part.offsets
+            for i, m_i in enumerate(self.part.locals):
+                full = u.copy()
+                full[m_i.indices] = u_2[off[i]:off[i + 1]]
+                f_2[off[i]:off[i + 1]] = system.rhs(full, t_n)[m_i.indices]
+            dn = f_2 - f_n - self.a_sum.matvec(u_2 - v)
+            return u_2 + 2 * dt * self.phi(3, dn)
 
-    # ExpEuler on linear systems; ExpRB2 propagates the frozen
-    # quasi-linearization, whose affine shift g_shift was set at refresh
-    w = cache.a_loc.matvec(v) + b
-    if cache.g_shift is not None:
-        w = w + cache.g_shift
-    return v + dt * cache.phi.apply(1, w)
+        # ExpEuler on linear systems; ExpRB2 propagates the frozen
+        # quasi-linearization, whose affine shift g_shift was set at refresh
+        b = self.halo.matvec(u)
+        if system.forcing is not None:
+            b = b + system.forcing(t_n)[idx]
+        w = self.a_sum.matvec(v) + b
+        if self.g_shift is not None:
+            w = w + self.g_shift
+        return v + dt * self.phi(1, w)
 
 
 def run_lem(system: SemiDiscreteSystem, part: Partition,
             cfg: StepperConfig) -> RunReport:
     """Advance the system with one exponential step per subdomain per step.
 
-    Per step: restrict to each M_i with exterior data frozen at t_n, take
-    the local exponential step, then gather keeping interiors only.
-    Jacobian and phi caches are rebuilt every refresh interval (for linear
-    systems: built once, first step). Krylov dimensions and misses are
-    harvested from the outgoing caches at each rebuild.
+    Per step: take every subdomain's local exponential step on M_i with
+    exterior data frozen at t_n, all at once on the flat local vector
+    (`_StackedStep`), then gather keeping interiors only. The stacked step
+    is rebuilt every refresh interval (for linear systems: built once,
+    first step). Krylov dimensions and misses are harvested from the
+    outgoing step's evaluators at each rebuild.
     """
     if cfg.method not in _EXP_METHODS:
         raise ValueError(f"run_lem supports {_EXP_METHODS}, got {cfg.method!r}")
@@ -182,25 +228,23 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     refresh = cfg.refresh_interval(system)
     u = np.array(system.initial, copy=True)
     trajectory = [u.copy()] if cfg.record_trajectory else None
-    caches: Optional[List[_LocalCache]] = None
+    step: Optional[_StackedStep] = None
     dims: List[int] = []
     misses = 0
 
     def harvest():
         nonlocal misses
-        for c in caches or ():
-            dims.extend(c.phi.krylov_dims)
-            misses += c.phi.krylov_misses
+        for phi in step.evaluators if step else ():
+            dims.extend(phi.krylov_dims)
+            misses += phi.krylov_misses
 
     t_start = time.perf_counter()
     for s in range(steps):
         t_n = s * cfg.dt
-        if caches is None or (refresh is not None and s % refresh == 0):
+        if step is None or (refresh is not None and s % refresh == 0):
             harvest()
-            caches = _build_caches(system, part, u, t_n, cfg)
-        locals_out = [_local_step(system, c, u, t_n, cfg.dt, cfg.method)
-                      for c in caches]
-        u = gather_overwrite(part, locals_out, u)
+            step = _StackedStep(system, part, u, t_n, cfg)
+        u = gather_overwrite(part, step.advance(u, t_n), u)
         if trajectory is not None:
             trajectory.append(u.copy())
     wall = time.perf_counter() - t_start
@@ -210,7 +254,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     if misses:
         captured.append(
             f"phi_action_krylov: no convergence within "
-            f"m_max={caches[0].phi.krylov_m_max} in {misses} of "
+            f"m_max={step.evaluators[0].krylov_m_max} in {misses} of "
             f"{len(dims)} applications")
     sp = stability_params(system, cfg.dt)
     return RunReport(

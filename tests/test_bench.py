@@ -128,6 +128,13 @@ class TestParseConfig:
         ("[advdiff1d]\nD = -2\nrows = C=1 B=8\n", "at least 1", 2),
         ("[advdiff1d]\nn = 401.7\nrows = C=1 B=8\n", "positive integer", 2),
         ("[advdiff1d]\nrows = C=1 B=-3\n", "nonnegative integer", 2),
+        ("[advdiff1d]\nT = -1\nrows = C=1 B=8\n", "T must be positive", 2),
+        ("[advdiff1d]\nT = nan\nrows = C=1 B=8\n", "T must be positive", 2),
+        ("[advdiff1d]\nrows = dt=nan B=8\n", "dt must be positive", 2),
+        ("[advdiff1d]\nrows = dt=0 B=4\n", "dt must be positive", 2),
+        ("[advdiff1d]\nrows = C=-1 B=4\n", "C must be positive", 2),
+        ("[advdiff1d]\nrows = mu=inf B=4\n", "mu must be positive", 2),
+        ("[advdiff1d]\nrows = C=1 B=8\nrefresh = 0\n", "at least 1", 3),
     ])
     def test_errors_carry_file_and_line(self, tmp_path, text, needle, line):
         path = write(tmp_path, text)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lem import (
     IndexSet,
@@ -63,9 +64,9 @@ class TestMakePartition:
     def test_interior_positions(self):
         part = make_partition(Mesh.line(60, 10.0), 3, 5)
         for i in range(3):
-            pos = part.interior_positions(i)
-            assert np.array_equal(part.locals[i].indices[pos],
-                                  part.interiors[i].indices)
+            d_i = part.interiors[i].indices
+            pos = part.owner_positions[d_i] - part.offsets[i]
+            assert np.array_equal(part.locals[i].indices[pos], d_i)
 
     def test_columns_layout_2d(self):
         mesh = Mesh.grid(24, 10, 10.0, 5.0)
@@ -83,34 +84,94 @@ class TestMakePartition:
         assert "36 nodes" in text  # both buffer flanks
 
 
+def flat_result(part, value_of):
+    """A flat local result whose slice of subdomain i is value_of(i)."""
+    return np.concatenate([np.full(len(part.locals[i]), value_of(i))
+                           for i in range(part.D)])
+
+
 class TestGatherOverwrite:
     def test_interiors_only(self):
         mesh = Mesh.line(24, 10.0)
         part = make_partition(mesh, 3, 4)
         u = np.zeros(24)
-        locals_out = []
-        for i in range(3):
-            v = np.full(len(part.locals[i]), float(i + 1))
-            locals_out.append(v)
-        out = gather_overwrite(part, locals_out, u)
+        out = gather_overwrite(part, flat_result(part, lambda i: i + 1.0), u)
         for i in range(3):
             assert np.all(out[part.interiors[i].indices] == i + 1)
 
     def test_rejects_wrong_lengths(self):
         part = make_partition(Mesh.line(24, 10.0), 3, 4)
         u = np.zeros(24)
-        bad = [np.zeros(len(part.locals[i])) for i in range(3)]
-        bad[1] = np.zeros(3)
-        with pytest.raises(ValueError):
-            gather_overwrite(part, bad, u)
+        good = flat_result(part, float)
+        for bad in (good[:-1], np.zeros(24), np.zeros((1, len(good)))):
+            with pytest.raises(ValueError):
+                gather_overwrite(part, bad, u)
 
     def test_promotes_dtype(self):
         part = make_partition(Mesh.line(12, 10.0), 2, 2)
-        u = np.zeros(12)
-        outs = [np.ones(len(part.locals[i]), dtype=complex) * 1j
-                for i in range(2)]
-        res = gather_overwrite(part, outs, u)
+        res = gather_overwrite(part, flat_result(part, lambda i: 1.0),
+                               np.zeros(12, dtype=complex))
         assert np.iscomplexobj(res)
+        res = gather_overwrite(part, flat_result(part, lambda i: 1j),
+                               np.zeros(12))
+        assert np.iscomplexobj(res)
+
+
+@st.composite
+def meshes_and_splits(draw):
+    """A small 1D or 2D mesh, periodic or Dirichlet, with a valid (D, B)."""
+    dim = draw(st.sampled_from((1, 2)))
+    boundary = draw(st.sampled_from(("periodic", "dirichlet")))
+    n_axis = draw(st.integers(4, 48))
+    if dim == 1:
+        mesh = Mesh.line(n_axis, 10.0, boundary=boundary)
+    else:
+        mesh = Mesh.grid(n_axis, draw(st.integers(4, 6)), 10.0, 5.0,
+                         boundary=boundary)
+    d = draw(st.integers(1, min(8, n_axis)))
+    b_max = 6
+    if boundary == "periodic" and d > 1:
+        b_max = min(b_max, n_axis - -(-n_axis // d))
+    return mesh, d, draw(st.integers(0, max(b_max, 0)))
+
+
+class TestPartitionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(meshes_and_splits())
+    def test_invariants(self, case):
+        mesh, d, b = case
+        part = make_partition(mesh, d, b)
+        n = mesh.n_total
+        owner = np.full(n, -1)
+        for i, d_i in enumerate(part.interiors):
+            assert np.all(owner[d_i.indices] == -1)  # disjoint
+            owner[d_i.indices] = i
+        assert np.all(owner >= 0)  # cover
+        # unclipped: no Dirichlet end, and the two buffer flanks stay apart
+        n_axis, rows = mesh.n[0], n // mesh.n[0]
+        max_size = -(-n_axis // d)
+        if d == 1 or (mesh.boundary[0] == "periodic"
+                      and 2 * b <= n_axis - max_size):
+            assert part.dof_updates_per_step == n + 2 * part.b_nominal * d * rows
+
+        flat, off = part.flat_locals, part.offsets
+        assert len(flat) == part.dof_updates_per_step == off[-1]
+        for i, m_i in enumerate(part.locals):
+            assert np.array_equal(flat[off[i]:off[i + 1]], m_i.indices)
+        pos = part.owner_positions
+        assert np.array_equal(flat[pos], np.arange(n))
+        # each node's value is read from its owner's slice
+        assert np.all((off[owner] <= pos) & (pos < off[owner + 1]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(meshes_and_splits())
+    def test_gather_keeps_owner_values(self, case):
+        part = make_partition(*case)
+        local_flat = np.concatenate(
+            [1000.0 * i + m.indices for i, m in enumerate(part.locals)])
+        out = gather_overwrite(part, local_flat, np.zeros(part.n_total))
+        for i, d_i in enumerate(part.interiors):
+            assert np.array_equal(out[d_i.indices], 1000.0 * i + d_i.indices)
 
 
 class TestIndexSet:

@@ -1,0 +1,47 @@
+"""The benchmark's span hooks still find and exercise every entry point.
+
+`perfbench/spans.py` wraps the package's layer entry points by name. A
+refactor that renames one, or stops calling it, would otherwise show up
+only as a KeyError or an exercise-gate failure of a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from lem.bench import parse_config, run_sweep
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# porous medium with an adaptive-reference oracle, so that the oracle's
+# solve_ivp runs too; ExpRB3 also exercises the local nonlinear stages
+POROUS = """\
+[porous]
+case = porous1d
+n = 64
+L = 10
+T = 0.1
+oracle = AdaptiveReference
+methods = ExpRB3
+D = 1, 2
+rows = dt=0.01 B=8
+"""
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_entry_point_records_calls(tmp_path):
+    spans = load_spans()
+    path = tmp_path / "porous.ini"
+    path.write_text(POROUS)
+    (case,) = parse_config(str(path))
+    with spans.instrumented(spans.Tracer()) as tracer:
+        reports = run_sweep(case, workers=1, timing=True)
+    assert [r.D for r in reports] == [1, 2]
+    assert all(r.warnings == [] for r in reports)
+    silent = [name for name in spans.ENTRY_POINTS if tracer.calls(name) == 0]
+    assert silent == []

@@ -2,13 +2,17 @@
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lem.expm
 from lem import (
     BandedSparseMatrix,
     Mesh,
+    PhiEvaluator,
     SemiDiscreteSystem,
     StepperConfig,
     build_advdiff_1d,
@@ -22,6 +26,7 @@ from lem import (
     run_lem,
     run_reference,
 )
+from lem.steppers import _StackedStep
 
 
 def quadratic_system(n=24, seed=5):
@@ -314,3 +319,214 @@ class TestReportContents:
             method="RK4", dt=0.05, t_end=0.25, record_trajectory=True))
         assert len(rep.trajectory) == 6  # initial plus five steps
         assert np.array_equal(rep.trajectory[0], system.initial)
+
+
+# ---------------------------------------------------------------------------
+# the stacked step against a frozen per-subdomain reference
+
+
+class _RefCache:
+    __slots__ = ("a_loc", "halo", "phi", "g_shift", "idx")
+
+    def __init__(self, a_loc, halo, phi, g_shift, idx):
+        self.a_loc = a_loc
+        self.halo = halo
+        self.phi = phi
+        self.g_shift = g_shift
+        self.idx = idx
+
+
+def _ref_build_caches(system, part, u, t_n, cfg):
+    if system.is_linear:
+        jac = system.linear_matrix
+        g_shift = None
+    else:
+        jac = system.jacobian(u)
+        g_shift = system.rhs(u, t_n) - jac.matvec(u)
+    order_max = 3 if cfg.method == "ExpRB3" else 1
+    caches = []
+    for m_i in part.locals:
+        idx = m_i.indices
+        a_loc = jac.restrict(m_i, m_i)
+        halo = jac.halo(m_i, m_i)
+        if cfg.phi_mode == "KrylovAction":
+            phi = PhiEvaluator.krylov(a_loc, cfg.dt, order_max)
+        else:
+            phi = PhiEvaluator.dense(a_loc, cfg.dt, order_max)
+        caches.append(_RefCache(
+            a_loc=a_loc, halo=halo, phi=phi,
+            g_shift=None if g_shift is None else g_shift[idx], idx=idx))
+    return caches
+
+
+def _ref_local_step(system, cache, u, t_n, dt, method):
+    v = u[cache.idx]
+    b = cache.halo.matvec(u)
+    if system.forcing is not None:
+        b = b + system.forcing(t_n)[cache.idx]
+
+    if method == "ExpRB3" and not system.is_linear:
+        def f_loc(w):
+            full = u.copy()
+            full[cache.idx] = w
+            return system.rhs(full, t_n)[cache.idx]
+
+        f_n = f_loc(v)
+        u_2 = v + dt * cache.phi.apply(1, f_n)
+        dn = f_loc(u_2) - f_n - cache.a_loc.matvec(u_2 - v)
+        return u_2 + 2 * dt * cache.phi.apply(3, dn)
+
+    w = cache.a_loc.matvec(v) + b
+    if cache.g_shift is not None:
+        w = w + cache.g_shift
+    return v + dt * cache.phi.apply(1, w)
+
+
+def _ref_gather(part, locals_out, u_next):
+    dtype = np.result_type(u_next.dtype, *(v.dtype for v in locals_out))
+    out = np.empty(part.n_total, dtype=dtype)
+    for i, v_loc in enumerate(locals_out):
+        out[part.interiors[i].indices] = v_loc[
+            part.locals[i].positions_of(part.interiors[i])]
+    return out
+
+
+def reference_run_lem(system, part, cfg):
+    """One subdomain at a time, as run_lem stepped before it was stacked."""
+    refresh = cfg.refresh_interval(system)
+    u = np.array(system.initial, copy=True)
+    caches = None
+    for s in range(cfg.n_steps):
+        t_n = s * cfg.dt
+        if caches is None or (refresh is not None and s % refresh == 0):
+            caches = _ref_build_caches(system, part, u, t_n, cfg)
+        locals_out = [_ref_local_step(system, c, u, t_n, cfg.dt, cfg.method)
+                      for c in caches]
+        u = _ref_gather(part, locals_out, u)
+    return u
+
+
+@st.composite
+def banded_systems(draw):
+    """A small random banded system on a 1D or column-split 2D mesh.
+
+    Linear systems may carry a forcing; nonlinear ones add a quadratic
+    term, u' = A u + 0.1 u^2, with Jacobian A + 0.2 diag(u).
+    """
+    layout = draw(st.sampled_from(("blocks1d", "columns2d")))
+    boundary = draw(st.sampled_from(("periodic", "dirichlet")))
+    complex_ = draw(st.booleans())
+    linear = draw(st.booleans())
+    nx = draw(st.integers(8, 40 if layout == "blocks1d" else 12))
+    if layout == "blocks1d":
+        mesh = Mesh.line(nx, 10.0, boundary=boundary)
+        ny, stride = 1, 1
+    else:
+        ny = draw(st.integers(4, 5))
+        mesh = Mesh.grid(nx, ny, 10.0, 5.0, boundary=boundary)
+        stride = ny  # neighbours along the split axis
+    n = mesh.n_total
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_vals(size):
+        vals = rng.standard_normal(size)
+        return vals + 1j * rng.standard_normal(size) if complex_ else vals
+
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [draw_vals(n) - 2.0]
+    for off in (1, 2, stride, 2 * stride) if stride > 1 else (1, 2):
+        src = np.arange(n)
+        for sign in (1, -1):
+            dst = src + sign * off
+            keep = (dst >= 0) & (dst < n)
+            if boundary == "periodic":
+                dst, keep = dst % n, np.ones(n, dtype=bool)
+            rows.append(src[keep])
+            cols.append(dst[keep])
+            vals.append(0.5 * draw_vals(int(keep.sum())))
+    a = BandedSparseMatrix(n, n, np.concatenate(rows), np.concatenate(cols),
+                           np.concatenate(vals))
+    initial = draw_vals(n) * 0.5
+    if linear:
+        forcing = None
+        if draw(st.booleans()):
+            g = draw_vals(n)
+            forcing = lambda t: np.cos(t) * g  # noqa: E731
+        return SemiDiscreteSystem(
+            kind="random", mesh=mesh, is_linear=True, linear_matrix=a,
+            forcing=forcing, initial=initial,
+            rhs=lambda u, t: a.matvec(u) + (0 if forcing is None else forcing(t)),
+            jacobian=lambda u: a)
+    dense = a.to_dense()
+    return SemiDiscreteSystem(
+        kind="random", mesh=mesh, initial=initial,
+        rhs=lambda u, t: a.matvec(u) + 0.1 * u * u,
+        jacobian=lambda u: BandedSparseMatrix.from_dense(
+            dense + np.diag(0.2 * u)))
+
+
+@st.composite
+def stepping_cases(draw):
+    system = draw(banded_systems())
+    n_axis = system.mesh.n[0]
+    d = draw(st.integers(1, min(8, n_axis)))
+    b_max = 6
+    if system.mesh.boundary[0] == "periodic" and d > 1:
+        b_max = min(b_max, n_axis - -(-n_axis // d))
+    part = make_partition(system.mesh, d, draw(st.integers(0, b_max)))
+    methods = ("ExpEuler", "ExpRB2", "ExpRB3") if system.is_linear else (
+        "ExpRB2", "ExpRB3")
+    cfg = StepperConfig(
+        method=draw(st.sampled_from(methods)), dt=0.05, t_end=0.2,
+        jacobian_refresh_every=2,
+        phi_mode=draw(st.sampled_from(("DenseStored", "KrylovAction"))))
+    return system, part, cfg
+
+
+class TestStackedStep:
+    @staticmethod
+    def recording_krylov():
+        """Patch the Krylov worker to log (dimension, converged) per call."""
+        log = []
+        worker = lem.expm._phi_action_krylov
+
+        def logged(*args, **kwargs):
+            result, m_used, converged = worker(*args, **kwargs)
+            log.append((m_used, converged))
+            return result, m_used, converged
+        return log, mock.patch.object(lem.expm, "_phi_action_krylov", logged)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stepping_cases())
+    def test_matches_per_subdomain_reference(self, case):
+        system, part, cfg = case
+        log, patch = self.recording_krylov()
+        with patch:
+            u_ref = reference_run_lem(system, part, cfg)
+            ref_log = sorted(log)
+            log.clear()
+            rep = run_lem(system, part, cfg)
+        scale = max(1.0, float(np.max(np.abs(u_ref))))
+        assert np.max(np.abs(rep.final_state - u_ref)) <= 1e-12 * scale
+        assert sorted(log) == ref_log
+
+    @settings(max_examples=30, deadline=None)
+    @given(stepping_cases())
+    def test_single_domain_equals_global_bitwise(self, case):
+        system, _, cfg = case
+        cfg = StepperConfig(method=cfg.method, dt=cfg.dt, t_end=cfg.t_end,
+                            jacobian_refresh_every=2, phi_mode=cfg.phi_mode,
+                            record_trajectory=True)
+        r_lem = run_lem(system, make_partition(system.mesh, 1, 0), cfg)
+        r_glob = run_global(system, cfg)
+        for a, b in zip(r_lem.trajectory, r_glob.trajectory):
+            assert np.array_equal(a, b)
+
+    def test_groups_by_size(self):
+        # the clipped Dirichlet ends share a size group, apart from the
+        # unclipped subdomains between them
+        system = build_porous_1d(64, 10.0)
+        part = make_partition(system.mesh, 4, 6)
+        step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
+            method="ExpRB2", dt=0.01, t_end=0.01))
+        assert sorted(shape for _, shape, _ in step.groups) == [(2, 22), (2, 28)]
+        assert step.a_sum.shape == (100, 100) and step.halo.shape == (100, 64)
