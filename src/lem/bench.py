@@ -24,7 +24,9 @@ import csv
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from configparser import ConfigParser, Error as ConfigParserError
+from configparser import (ConfigParser, DuplicateOptionError,
+                          DuplicateSectionError, Error as ConfigParserError,
+                          MissingSectionHeaderError, ParsingError)
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -149,20 +151,63 @@ class ConfigError(ValueError):
     """Configuration file problem, annotated with file/line context."""
 
 
-def _line_of(text: str, *needles: str) -> int:
-    """1-based line of the first line containing all needles, 0 if absent."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if all(n in line for n in needles):
-            return lineno
-    return 0
+def _line_of(text: str, section: str, key: str = "") -> int:
+    """1-based line of ``key``'s option line within ``section``.
+
+    A key set only under [DEFAULT] is found there. Falls back to the
+    section header when the key is not set (or no key is given); 0 if the
+    section itself is absent. Option names are folded to lower case as
+    ConfigParser does, and comment lines never match.
+    """
+    seen, current = {}, None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        s = line.strip()
+        head = ConfigParser.SECTCRE.match(s)
+        if head:
+            current = head.group("header")
+            seen.setdefault((current, ""), lineno)
+        elif s and not s.startswith(("#", ";")):
+            name = s.split("=", 1)[0].split(":", 1)[0].strip().lower()
+            seen.setdefault((current, name), lineno)
+    key = key.lower()
+    return (seen.get((section, key)) or seen.get(("DEFAULT", key))
+            or seen.get((section, ""), 0))
 
 
 def _fail(path: str, text: str, section: str, key: str, msg: str):
-    line = _line_of(text, key) if key else 0
-    if not line:  # key absent entirely: point at the section header
-        line = _line_of(text, f"[{section}]")
+    line = _line_of(text, section, key)
     where = f"{path}:{line}" if line else f"{path} [{section}]"
     raise ConfigError(f"{where}: {msg}")
+
+
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text with universal newlines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text "
+                          f"(byte {data[exc.start]:#04x})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _syntax_error(path: str, exc: ConfigParserError) -> ConfigError:
+    """A one-line ConfigError at the line an INI syntax error names."""
+    if isinstance(exc, MissingSectionHeaderError):
+        lineno, msg = exc.lineno, "key before the first [section] header"
+    elif isinstance(exc, ParsingError):
+        lineno, msg = exc.errors[0][0], "expected [section] or key = value"
+    elif isinstance(exc, DuplicateSectionError):
+        lineno, msg = exc.lineno, f"duplicate section [{exc.section}]"
+    elif isinstance(exc, DuplicateOptionError):
+        lineno = exc.lineno
+        msg = f"duplicate key {exc.option!r} in section [{exc.section}]"
+    else:
+        lineno, msg = None, " ".join(str(exc).split())
+    where = f"{path}:{lineno}" if lineno else path
+    return ConfigError(f"{where}: {msg}")
 
 
 def _parse_row(item: str) -> dict:
@@ -188,13 +233,12 @@ def _parse_row(item: str) -> dict:
 
 def parse_config(path: str) -> List[BenchCase]:
     """Read benchmark cases from an INI file; empty file gives no cases."""
-    with open(path, "r") as fh:
-        text = fh.read()
-    parser = ConfigParser()
+    text = _read_text(path)
+    parser = ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=path)
     except ConfigParserError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _syntax_error(path, exc) from exc
 
     cases = []
     for section in parser.sections():

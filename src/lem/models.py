@@ -3,6 +3,15 @@
 Every builder returns a :class:`SemiDiscreteSystem` carrying the discrete
 right-hand side, an analytic Jacobian (banded), initial data, stability
 diagnostics, and an exact or reference solution where one is available.
+
+Two kernels are shared by every model. :func:`_stencil` assembles each
+matrix from (axis, offset, per-node values) terms. The limited-flux kernel
+(:func:`_pad`, :func:`_states`, :func:`_llf` and :func:`_flux_terms`) works
+on axis 0 of an array with two periodic ghost layers at each end, so it
+serves a 1D model directly and each axis of a 2D model through a
+transposed view. 2D nodes are flattened x-major: node (ix, iy) is
+``ix*ny + iy``. No operator reaches further than two nodes along an axis:
+the stencil radius is 2, the ghost layers of :func:`_pad`.
 """
 
 from __future__ import annotations
@@ -188,133 +197,33 @@ def stability_params(system: SemiDiscreteSystem, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# linear 1D problems
+# shared kernels: stencil assembly and the minmod-limited flux
 
 
-def build_advdiff_1d(n: int, L: float, u_adv: float, nu: float,
-                     sigma: Optional[float] = None) -> SemiDiscreteSystem:
-    """Periodic advection-diffusion c_t + u c_x = nu c_xx, centered differences.
+def _stencil(mesh: Mesh, terms,
+             bandwidth_hint: Optional[int] = None) -> BandedSparseMatrix:
+    """The matrix of the stencil terms on the mesh nodes.
 
-    The Gaussian initial datum has width ``sigma`` (default L/20) centered
-    at L/2; the exact solution is available through
-    :func:`exact_advdiff_fourier`.
+    Each term (axis, offset, values) puts ``values[node]`` at (node, node +
+    offset along axis); ``values`` is a scalar or an array of the mesh
+    shape. Periodic axes wrap; on Dirichlet axes entries whose column
+    leaves the mesh are dropped. Entries at one position reach the
+    coalescing sum of :class:`BandedSparseMatrix` in term order.
     """
-    if nu < 0:
-        raise ValueError("diffusivity must be nonnegative")
-    mesh = Mesh.line(n, L, "periodic")
-    dx = mesh.dx[0]
-    idx = np.arange(n)
-    left, right = (idx - 1) % n, (idx + 1) % n
-
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([left, idx, right])
-    vals = np.concatenate([
-        np.full(n, u_adv / (2 * dx) + nu / dx**2),
-        np.full(n, -2 * nu / dx**2),
-        np.full(n, -u_adv / (2 * dx) + nu / dx**2),
-    ])
-    a = BandedSparseMatrix(n, n, rows, cols, vals)
-
-    if sigma is None:
-        sigma = L / 20.0
-    initial = _gaussian(mesh.coords(), L / 2, sigma)
-
-    system = SemiDiscreteSystem(
-        kind="advdiff1d",
-        mesh=mesh,
-        rhs=lambda u, t: a.matvec(u),
-        jacobian=lambda u: a,
-        initial=initial,
-        is_linear=True,
-        linear_matrix=a,
-        wave_speed=lambda u: abs(u_adv),
-        diffusivity=lambda u: nu,
-        params={"u_adv": u_adv, "nu": nu, "sigma": sigma},
-    )
-    system.exact = lambda t: exact_advdiff_fourier(system, t)
-    return system
-
-
-def build_advection_dirichlet_1d(n: int, L: float, u_adv: float,
-                                 sigma: Optional[float] = None) -> SemiDiscreteSystem:
-    """Centered advection with homogeneous Dirichlet ends.
-
-    Unlike the periodic variant this matrix is banded in the strict sense
-    (bandwidth 1), which is what the off-diagonal decay estimates assume.
-    """
-    mesh = Mesh.line(n, L, "dirichlet")
-    dx = mesh.dx[0]
-    idx = np.arange(n)
-
-    rows = np.concatenate([idx[1:], idx[:-1]])
-    cols = np.concatenate([idx[:-1], idx[1:]])
-    vals = np.concatenate([
-        np.full(n - 1, u_adv / (2 * dx)),
-        np.full(n - 1, -u_adv / (2 * dx)),
-    ])
-    a = BandedSparseMatrix(n, n, rows, cols, vals, bandwidth_hint=1)
-
-    if sigma is None:
-        sigma = L / 20.0
-    initial = _gaussian(mesh.coords(), L / 2, sigma)
-
-    return SemiDiscreteSystem(
-        kind="advection_dirichlet1d",
-        mesh=mesh,
-        rhs=lambda u, t: a.matvec(u),
-        jacobian=lambda u: a,
-        initial=initial,
-        is_linear=True,
-        linear_matrix=a,
-        wave_speed=lambda u: abs(u_adv),
-        diffusivity=lambda u: 0.0,
-        params={"u_adv": u_adv, "sigma": sigma},
-    )
-
-
-def build_schrodinger_1d(n: int, L: float, kappa: float = 10.0,
-                         sigma: Optional[float] = None) -> SemiDiscreteSystem:
-    """Free Schroedinger equation with harmonic potential on [-L/2, L/2].
-
-    i psi_t = -(1/2) psi_xx + (kappa/2) x^2 psi, periodic. The system matrix
-    (i/2) D2 - i (kappa/2) diag(x^2) is skew-Hermitian, so the discrete
-    2-norm of the state is conserved by the exact flow.
-    """
-    mesh = Mesh.line(n, L, "periodic", origin=-L / 2)
-    dx = mesh.dx[0]
-    x = mesh.coords()
-    idx = np.arange(n)
-    left, right = (idx - 1) % n, (idx + 1) % n
-
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([left, idx, right])
-    vals = np.concatenate([
-        np.full(n, 0.5j / dx**2),
-        -1j / dx**2 - 0.5j * kappa * x**2,
-        np.full(n, 0.5j / dx**2),
-    ])
-    a = BandedSparseMatrix(n, n, rows, cols, vals)
-
-    if sigma is None:
-        sigma = L / 20.0
-    initial = _gaussian(x, 0.0, sigma).astype(complex)
-
-    return SemiDiscreteSystem(
-        kind="schrodinger1d",
-        mesh=mesh,
-        rhs=lambda u, t: a.matvec(u),
-        jacobian=lambda u: a,
-        initial=initial,
-        is_linear=True,
-        linear_matrix=a,
-        wave_speed=lambda u: 0.0,
-        diffusivity=lambda u: 0.5,
-        params={"kappa": kappa, "sigma": sigma},
-    )
-
-
-# ---------------------------------------------------------------------------
-# monotonized finite volume machinery (1D)
+    shape = mesh.n
+    node = np.arange(mesh.n_total).reshape(shape)
+    rows, cols, vals = [], [], []
+    for axis, off, v in terms:
+        keep = [slice(None)] * mesh.dim
+        if mesh.boundary[axis] == "dirichlet":  # rows whose column is inside
+            keep[axis] = slice(max(0, -off), max(0, shape[axis] - off))
+        keep = tuple(keep)
+        rows.append(node[keep].ravel())
+        cols.append(np.roll(node, -off, axis)[keep].ravel())
+        vals.append(np.broadcast_to(v, shape)[keep].ravel())
+    return BandedSparseMatrix(mesh.n_total, mesh.n_total, np.concatenate(rows),
+                              np.concatenate(cols), np.concatenate(vals),
+                              bandwidth_hint=bandwidth_hint)
 
 
 def _minmod(dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
@@ -332,6 +241,173 @@ def _minmod_branch(dl: np.ndarray, dr: np.ndarray):
     use_dl = live & (np.abs(dl) <= np.abs(dr))
     use_dr = live & ~use_dl
     return use_dl, use_dr
+
+
+def _pad(u: np.ndarray) -> np.ndarray:
+    """u with two periodic ghost layers at each end of axis 0: w[j + 2] = u_j."""
+    return np.concatenate((u[-2:], u, u[:2]))
+
+
+def _states(w: np.ndarray):
+    """Limited left/right states at interfaces j+1/2, j = -1..n-1, of the padded w."""
+    d = w[1:] - w[:-1]                     # d[j + 1] = u_j - u_{j-1}
+    sl = _minmod(d[:-1], d[1:])            # slopes of u_{-1}..u_n
+    ul = w[1:-2] + 0.5 * sl[:-1]           # left state at interface j+1/2
+    ur = w[2:-1] - 0.5 * sl[1:]            # right state
+    return ul, ur
+
+
+def _llf(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
+    """Local Lax-Friedrichs flux of c^2/2 between the states ul and ur."""
+    a = np.maximum(np.abs(ul), np.abs(ur))
+    return 0.5 * (0.5 * ul**2 + 0.5 * ur**2) - 0.5 * a * (ur - ul)
+
+
+def _llf_partials(ul: np.ndarray, ur: np.ndarray):
+    """dF/d(ul) and dF/d(ur) of :func:`_llf` on the active wave-speed branch."""
+    a = np.maximum(np.abs(ul), np.abs(ur))
+    # |.| derivative of the local wave speed; ties take the left state
+    from_left = np.abs(ul) >= np.abs(ur)
+    da_dul = np.where(from_left, np.sign(ul), 0.0)
+    da_dur = np.where(~from_left, np.sign(ur), 0.0)
+    jump = ur - ul
+    return (0.5 * ul + 0.5 * a - 0.5 * jump * da_dul,
+            0.5 * ur - 0.5 * a - 0.5 * jump * da_dur)
+
+
+def _flux_terms(w: np.ndarray, h: float, dfl, dfr=None, axis: int = 0) -> list:
+    """:func:`_stencil` terms of -(F_{j+1/2} - F_{j-1/2})/h on the padded w.
+
+    F is a flux of the :func:`_states` of w, given by its partials ``dfl``
+    = dF/du_l and ``dfr`` = dF/du_r at the interfaces j+1/2, j = 0..n-1
+    (``dfr`` None: F does not depend on u_r). u_l at j+1/2 has weights on
+    nodes (j-1, j, j+1) and u_r on (j, j+1, j+2); each weight enters row j
+    with -dF/h, then row j+1 with +dF/h. The kernel runs along axis 0 of w;
+    the terms are returned for mesh axis ``axis``.
+    """
+    d = w[1:] - w[:-1]
+    use_dl, use_dr = _minmod_branch(d[:-1], d[1:])   # nodes -1..n
+    hl = np.where(use_dl, 0.5, 0.0)
+    hr = np.where(use_dr, 0.5, 0.0)
+    # u_l = u_j + slope_j/2 and u_r = u_{j+1} - slope_{j+1}/2
+    parts = [(-1, dfl, -hl[1:-1]), (0, dfl, 1.0 + hl[1:-1] - hr[1:-1]),
+             (1, dfl, hr[1:-1])]
+    if dfr is not None:
+        parts += [(0, dfr, hl[2:]), (1, dfr, 1.0 - hl[2:] + hr[2:]),
+                  (2, dfr, -hr[2:])]
+    terms = []
+    for off, df, weight in parts:
+        q = np.moveaxis(df * weight / h, 0, axis)
+        terms += [(axis, off, -q), (axis, off - 1, np.roll(q, 1, axis))]
+    return terms
+
+
+def _burgers_axis(w: np.ndarray, h: float, nu: float) -> np.ndarray:
+    """Burgers rhs along axis 0 of the padded w.
+
+    Limited LLF convection plus centered diffusion; a 2D model adds one
+    call per axis.
+    """
+    flux = _llf(*_states(w))
+    conv = -(flux[1:] - flux[:-1]) / h
+    return conv + nu * (w[3:-1] - 2 * w[2:-2] + w[1:-3]) / h**2
+
+
+def _burgers_axis_terms(f: np.ndarray, h: float, nu: float,
+                        axis: int = 0) -> list:
+    """:func:`_stencil` terms of the Jacobian of ``_burgers_axis(_pad(f))``."""
+    w = _pad(f)
+    ul, ur = _states(w)
+    return _flux_terms(w, h, *_llf_partials(ul[1:], ur[1:]), axis=axis) + [
+        (axis, -1, nu / h**2), (axis, 0, -2 * nu / h**2), (axis, 1, nu / h**2)]
+
+
+# ---------------------------------------------------------------------------
+# linear 1D problems
+
+
+def _linear_system(kind: str, mesh: Mesh, a: BandedSparseMatrix,
+                   initial: np.ndarray, speed: float, nu: float,
+                   params: dict) -> SemiDiscreteSystem:
+    """du/dt = a u with a constant wave speed and diffusivity."""
+    return SemiDiscreteSystem(
+        kind=kind, mesh=mesh, rhs=lambda u, t: a.matvec(u),
+        jacobian=lambda u: a, initial=initial, is_linear=True,
+        linear_matrix=a, wave_speed=lambda u: speed,
+        diffusivity=lambda u: nu, params=params)
+
+
+def build_advdiff_1d(n: int, L: float, u_adv: float, nu: float,
+                     sigma: Optional[float] = None) -> SemiDiscreteSystem:
+    """Periodic advection-diffusion c_t + u c_x = nu c_xx, centered differences.
+
+    The Gaussian initial datum has width ``sigma`` (default L/20) centered
+    at L/2; the exact solution is available through
+    :func:`exact_advdiff_fourier`.
+    """
+    if nu < 0:
+        raise ValueError("diffusivity must be nonnegative")
+    mesh = Mesh.line(n, L, "periodic")
+    dx = mesh.dx[0]
+    a = _stencil(mesh, [(0, -1, u_adv / (2 * dx) + nu / dx**2),
+                        (0, 0, -2 * nu / dx**2),
+                        (0, 1, -u_adv / (2 * dx) + nu / dx**2)])
+
+    if sigma is None:
+        sigma = L / 20.0
+    initial = _gaussian(mesh.coords(), L / 2, sigma)
+
+    system = _linear_system("advdiff1d", mesh, a, initial, abs(u_adv), nu,
+                            {"u_adv": u_adv, "nu": nu, "sigma": sigma})
+    system.exact = lambda t: exact_advdiff_fourier(system, t)
+    return system
+
+
+def build_advection_dirichlet_1d(n: int, L: float, u_adv: float,
+                                 sigma: Optional[float] = None) -> SemiDiscreteSystem:
+    """Centered advection with homogeneous Dirichlet ends.
+
+    Unlike the periodic variant this matrix is banded in the strict sense
+    (bandwidth 1), which is what the off-diagonal decay estimates assume.
+    """
+    mesh = Mesh.line(n, L, "dirichlet")
+    dx = mesh.dx[0]
+    a = _stencil(mesh, [(0, -1, u_adv / (2 * dx)), (0, 1, -u_adv / (2 * dx))],
+                 bandwidth_hint=1)
+
+    if sigma is None:
+        sigma = L / 20.0
+    initial = _gaussian(mesh.coords(), L / 2, sigma)
+
+    return _linear_system("advection_dirichlet1d", mesh, a, initial,
+                          abs(u_adv), 0.0, {"u_adv": u_adv, "sigma": sigma})
+
+
+def build_schrodinger_1d(n: int, L: float, kappa: float = 10.0,
+                         sigma: Optional[float] = None) -> SemiDiscreteSystem:
+    """Free Schroedinger equation with harmonic potential on [-L/2, L/2].
+
+    i psi_t = -(1/2) psi_xx + (kappa/2) x^2 psi, periodic. The system matrix
+    (i/2) D2 - i (kappa/2) diag(x^2) is skew-Hermitian, so the discrete
+    2-norm of the state is conserved by the exact flow.
+    """
+    mesh = Mesh.line(n, L, "periodic", origin=-L / 2)
+    dx = mesh.dx[0]
+    x = mesh.coords()
+    a = _stencil(mesh, [(0, -1, 0.5j / dx**2),
+                        (0, 0, -1j / dx**2 - 0.5j * kappa * x**2),
+                        (0, 1, 0.5j / dx**2)])
+
+    if sigma is None:
+        sigma = L / 20.0
+    initial = _gaussian(x, 0.0, sigma).astype(complex)
+
+    return _linear_system("schrodinger1d", mesh, a, initial, 0.0, 0.5,
+                          {"kappa": kappa, "sigma": sigma})
+
+
+# ---------------------------------------------------------------------------
+# monotonized finite volume problems (1D)
 
 
 def exact_square_wave(mesh: Mesh, lo: float, hi: float,
@@ -377,35 +453,14 @@ def build_fv_advection_1d(n: int, L: float, u_adv: float = 1.0,
         wave = (L / 4, L / 2)
     lo, hi = wave
 
+    # upwind flux F = u_adv * u_l (u_adv > 0); both rhs and Jacobian scale
+    # by u_adv/dx in one product, hence dF/du_l = u_adv/dx with h = 1
     def rhs(u, t=0.0):
-        dl = u - np.roll(u, 1)
-        dr = np.roll(u, -1) - u
-        flux = u + 0.5 * _minmod(dl, dr)  # interface value at j+1/2, u_adv > 0
-        return -(flux - np.roll(flux, 1)) * (u_adv / dx)
+        ul, _ = _states(_pad(u))
+        return -(ul[1:] - ul[:-1]) * (u_adv / dx)
 
     def jacobian(u):
-        dl = u - np.roll(u, 1)
-        dr = np.roll(u, -1) - u
-        use_dl, use_dr = _minmod_branch(dl, dr)
-        idx = np.arange(n)
-
-        # dF_{j+1/2}/du as three stencil weights on (j-1, j, j+1)
-        wm = np.where(use_dl, -0.5, 0.0)
-        wc = 1.0 + np.where(use_dl, 0.5, 0.0) - np.where(use_dr, 0.5, 0.0)
-        wp = np.where(use_dr, 0.5, 0.0)
-
-        # rhs_i = -(F_i - F_{i-1}) * u_adv/dx; columns wrap periodically
-        s = -u_adv / dx
-        rows = np.concatenate([idx] * 6)
-        cols = np.concatenate([
-            (idx - 1) % n, idx, (idx + 1) % n,
-            (idx - 2) % n, (idx - 1) % n, idx,
-        ])
-        vals = np.concatenate([
-            s * wm, s * wc, s * wp,
-            -s * np.roll(wm, 1), -s * np.roll(wc, 1), -s * np.roll(wp, 1),
-        ])
-        return BandedSparseMatrix(n, n, rows, cols, vals)
+        return _stencil(mesh, _flux_terms(_pad(u), 1.0, u_adv / dx))
 
     initial = exact_square_wave(mesh, lo, hi)
 
@@ -439,83 +494,11 @@ def build_burgers_1d(n: int, L: float, nu: float = 0.05,
         sigma = L / 20.0
     initial = _gaussian(mesh.coords(), L / 2, sigma)
 
-    def _states(w):
-        """Interface states at j+1/2, j = -1..n-1, of the ghost-padded w."""
-        d = w[1:] - w[:-1]                     # d[j + 1] = u_j - u_{j-1}
-        sl = _minmod(d[:-1], d[1:])            # slopes of u_{-1}..u_n
-        ul = w[1:-2] + 0.5 * sl[:-1]           # left state at interface j+1/2
-        ur = w[2:-1] - 0.5 * sl[1:]            # right state
-        return ul, ur
-
-    def rhs(u, t=0.0):
-        w = np.concatenate((u[-2:], u, u[:2]))  # w[j + 2] = u_j, periodic
-        ul, ur = _states(w)
-        a = np.maximum(np.abs(ul), np.abs(ur))
-        flux = 0.5 * (0.5 * ul**2 + 0.5 * ur**2) - 0.5 * a * (ur - ul)
-        conv = -(flux[1:] - flux[:-1]) / dx
-        diff = nu * (w[3:-1] - 2 * w[2:-2] + w[1:-3]) / dx**2
-        return conv + diff
-
-    def jacobian(u):
-        dl = u - np.roll(u, 1)
-        dr = np.roll(u, -1) - u
-        use_dl, use_dr = _minmod_branch(dl, dr)
-        ul, ur = _states(np.concatenate((u[-2:], u, u[:2])))
-        ul, ur = ul[1:], ur[1:]
-        a = np.maximum(np.abs(ul), np.abs(ur))
-
-        # reconstruction weights: ul_j = u_j + 0.5*minmod(dl_j, dr_j)
-        lm = np.where(use_dl, -0.5, 0.0)
-        lc = 1.0 + np.where(use_dl, 0.5, 0.0) - np.where(use_dr, 0.5, 0.0)
-        lp = np.where(use_dr, 0.5, 0.0)
-        # ur_j = u_{j+1} - 0.5*minmod(dl_{j+1}, dr_{j+1}); weights on (j, j+1, j+2)
-        rm = 0.5 * np.where(np.roll(use_dl, -1), 1.0, 0.0)
-        rc = 1.0 - 0.5 * np.where(np.roll(use_dl, -1), 1.0, 0.0) \
-            + 0.5 * np.where(np.roll(use_dr, -1), 1.0, 0.0)
-        rp = -0.5 * np.where(np.roll(use_dr, -1), 1.0, 0.0)
-
-        # |.| derivative of the local wave speed; ties take the left state
-        from_left = np.abs(ul) >= np.abs(ur)
-        da_dul = np.where(from_left, np.sign(ul), 0.0)
-        da_dur = np.where(~from_left, np.sign(ur), 0.0)
-
-        # flux = (ul^2 + ur^2)/4 - a*(ur - ul)/2
-        jump = ur - ul
-        dphi_dul = 0.5 * ul + 0.5 * a - 0.5 * jump * da_dul
-        dphi_dur = 0.5 * ur - 0.5 * a - 0.5 * jump * da_dur
-
-        idx = np.arange(n)
-        # dF/du columns: via ul on (j-1, j, j+1) and ur on (j, j+1, j+2)
-        f_cols = [(idx - 1) % n, idx, (idx + 1) % n, idx, (idx + 1) % n,
-                  (idx + 2) % n]
-        f_vals = [dphi_dul * lm, dphi_dul * lc, dphi_dul * lp,
-                  dphi_dur * rm, dphi_dur * rc, dphi_dur * rp]
-
-        rows, cols, vals = [], [], []
-        for c_arr, v_arr in zip(f_cols, f_vals):
-            # conv_i = -(F_i - F_{i-1})/dx
-            rows.append(idx)
-            cols.append(c_arr)
-            vals.append(-v_arr / dx)
-            rows.append((idx + 1) % n)
-            cols.append(c_arr)
-            vals.append(v_arr / dx)
-
-        rows.append(idx); cols.append((idx - 1) % n)
-        vals.append(np.full(n, nu / dx**2))
-        rows.append(idx); cols.append(idx)
-        vals.append(np.full(n, -2 * nu / dx**2))
-        rows.append(idx); cols.append((idx + 1) % n)
-        vals.append(np.full(n, nu / dx**2))
-
-        return BandedSparseMatrix(n, n, np.concatenate(rows),
-                                  np.concatenate(cols), np.concatenate(vals))
-
     return SemiDiscreteSystem(
         kind="burgers1d",
         mesh=mesh,
-        rhs=rhs,
-        jacobian=jacobian,
+        rhs=lambda u, t=0.0: _burgers_axis(_pad(u), dx, nu),
+        jacobian=lambda u: _stencil(mesh, _burgers_axis_terms(u, dx, nu)),
         initial=initial,
         wave_speed=lambda u: float(np.max(np.abs(u))) if len(u) else 0.0,
         diffusivity=lambda u: nu,
@@ -557,11 +540,9 @@ def build_porous_1d(n: int, L: float,
 
     def jacobian(u):
         d = m * np.abs(u) ** (m - 1)
-        idx = np.arange(n)
-        rows = np.concatenate([idx, idx[:-1], idx[1:]])
-        cols = np.concatenate([idx, idx[1:], idx[:-1]])
-        vals = np.concatenate([-2 * d, d[1:], d[:-1]]) / dx**2
-        return BandedSparseMatrix(n, n, rows, cols, vals, bandwidth_hint=1)
+        q = d / dx**2
+        return _stencil(mesh, [(0, -1, np.roll(q, 1)), (0, 0, -2 * d / dx**2),
+                               (0, 1, np.roll(q, -1))], bandwidth_hint=1)
 
     system = SemiDiscreteSystem(
         kind="porous1d",
@@ -598,46 +579,14 @@ def build_advdiff_2d(nx: int, ny: int, lx: float, ly: float,
     dx, dy = mesh.dx
     x, y = mesh.coords(0), mesh.coords(1)
     xc, yc = lx / 2, ly / 2
-    ax = -omega * (y - yc)   # depends on y only
-    ay = omega * (x - xc)    # depends on x only
-
-    def flat(ix, iy):
-        return ix * ny + iy
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        if v != 0.0:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-    for ix in range(nx):
-        for iy in range(ny):
-            r = flat(ix, iy)
-            # -d/dx(ax c): centered, Dirichlet zero outside
-            if ix + 1 < nx:
-                add(r, flat(ix + 1, iy), -ax[iy] / (2 * dx))
-            if ix - 1 >= 0:
-                add(r, flat(ix - 1, iy), ax[iy] / (2 * dx))
-            if iy + 1 < ny:
-                add(r, flat(ix, iy + 1), -ay[ix] / (2 * dy))
-            if iy - 1 >= 0:
-                add(r, flat(ix, iy - 1), ay[ix] / (2 * dy))
-            # nu * 5-point Laplacian
-            add(r, r, -2 * nu / dx**2 - 2 * nu / dy**2)
-            if ix + 1 < nx:
-                add(r, flat(ix + 1, iy), nu / dx**2)
-            if ix - 1 >= 0:
-                add(r, flat(ix - 1, iy), nu / dx**2)
-            if iy + 1 < ny:
-                add(r, flat(ix, iy + 1), nu / dy**2)
-            if iy - 1 >= 0:
-                add(r, flat(ix, iy - 1), nu / dy**2)
-
-    n_tot = nx * ny
-    a = BandedSparseMatrix(n_tot, n_tot, np.array(rows), np.array(cols),
-                           np.array(vals, dtype=float))
+    ax = -omega * (y - yc)            # depends on y only
+    ay = omega * (x - xc)[:, None]    # depends on x only
+    # -d/dx(ax c) - d/dy(ay c) centered, plus nu * 5-point Laplacian
+    a = _stencil(mesh, [
+        (0, 1, -ax / (2 * dx) + nu / dx**2), (0, -1, ax / (2 * dx) + nu / dx**2),
+        (1, 1, -ay / (2 * dy) + nu / dy**2), (1, -1, ay / (2 * dy) + nu / dy**2),
+        (0, 0, -2 * nu / dx**2 - 2 * nu / dy**2),
+    ])
 
     if sigma is None:
         sigma = min(lx, ly) / 20.0
@@ -647,18 +596,8 @@ def build_advdiff_2d(nx: int, ny: int, lx: float, ly: float,
 
     speed = float(max(np.max(np.abs(ax)), np.max(np.abs(ay))))
 
-    return SemiDiscreteSystem(
-        kind="advdiff2d",
-        mesh=mesh,
-        rhs=lambda u, t: a.matvec(u),
-        jacobian=lambda u: a,
-        initial=initial,
-        is_linear=True,
-        linear_matrix=a,
-        wave_speed=lambda u: speed,
-        diffusivity=lambda u: nu,
-        params={"omega": omega, "nu": nu, "sigma": sigma},
-    )
+    return _linear_system("advdiff2d", mesh, a, initial, speed, nu,
+                          {"omega": omega, "nu": nu, "sigma": sigma})
 
 
 def build_burgers_2d(nx: int, ny: int, lx: float, ly: float,
@@ -688,82 +627,16 @@ def build_burgers_2d(nx: int, ny: int, lx: float, ly: float,
     initial = np.outer(_gaussian(x, lx / 2, sigma),
                        _gaussian(y, ly / 2, sigma)).reshape(-1)
 
-    def _axis_conv(field2d, h, axis):
-        u = field2d
-        dl = u - np.roll(u, 1, axis=axis)
-        dr = np.roll(u, -1, axis=axis) - u
-        sl = _minmod(dl, dr)
-        ul = u + 0.5 * sl
-        ur = np.roll(u, -1, axis=axis) - 0.5 * np.roll(sl, -1, axis=axis)
-        a = np.maximum(np.abs(ul), np.abs(ur))
-        flux = 0.25 * (ul**2 + ur**2) - 0.5 * a * (ur - ul)
-        return -(flux - np.roll(flux, 1, axis=axis)) / h
-
+    # the y axis runs through the axis-0 kernels on the transposed field
     def rhs(u, t=0.0):
         f = u.reshape(nx, ny)
-        out = _axis_conv(f, dx, 0) + _axis_conv(f, dy, 1)
-        out += nu * ((np.roll(f, -1, 0) - 2 * f + np.roll(f, 1, 0)) / dx**2
-                     + (np.roll(f, -1, 1) - 2 * f + np.roll(f, 1, 1)) / dy**2)
+        out = _burgers_axis(_pad(f), dx, nu) + _burgers_axis(_pad(f.T), dy, nu).T
         return out.reshape(-1)
-
-    def _axis_jac_terms(f, h, axis):
-        """Stencil weights of the per-axis convective term, shifted indices."""
-        dl = f - np.roll(f, 1, axis=axis)
-        dr = np.roll(f, -1, axis=axis) - f
-        use_dl, use_dr = _minmod_branch(dl, dr)
-        sl = _minmod(dl, dr)
-        ul = f + 0.5 * sl
-        ur = np.roll(f, -1, axis=axis) - 0.5 * np.roll(sl, -1, axis=axis)
-        a = np.maximum(np.abs(ul), np.abs(ur))
-
-        lm = np.where(use_dl, -0.5, 0.0)
-        lc = 1.0 + np.where(use_dl, 0.5, 0.0) - np.where(use_dr, 0.5, 0.0)
-        lp = np.where(use_dr, 0.5, 0.0)
-        rm = 0.5 * np.where(np.roll(use_dl, -1, axis=axis), 1.0, 0.0)
-        rc = 1.0 - 0.5 * np.where(np.roll(use_dl, -1, axis=axis), 1.0, 0.0) \
-            + 0.5 * np.where(np.roll(use_dr, -1, axis=axis), 1.0, 0.0)
-        rp = -0.5 * np.where(np.roll(use_dr, -1, axis=axis), 1.0, 0.0)
-
-        from_left = np.abs(ul) >= np.abs(ur)
-        da_dul = np.where(from_left, np.sign(ul), 0.0)
-        da_dur = np.where(~from_left, np.sign(ur), 0.0)
-        jump = ur - ul
-        dphi_dul = 0.5 * ul + 0.5 * a - 0.5 * jump * da_dul
-        dphi_dur = 0.5 * ur - 0.5 * a - 0.5 * jump * da_dur
-
-        # dF/du at interface j+1/2: offsets along axis -1..+2
-        return {
-            -1: dphi_dul * lm,
-            0: dphi_dul * lc + dphi_dur * rm,
-            1: dphi_dul * lp + dphi_dur * rc,
-            2: dphi_dur * rp,
-        }, h
 
     def jacobian(u):
         f = u.reshape(nx, ny)
-        base = np.arange(nx * ny).reshape(nx, ny)
-        rows_l, cols_l, vals_l = [], [], []
-
-        for axis, h in ((0, dx), (1, dy)):
-            terms, _ = _axis_jac_terms(f, h, axis)
-            for off, w in terms.items():
-                col = np.roll(base, -off, axis=axis)
-                # conv_i picks up -F_i/h and +F_{i-1}/h
-                rows_l.append(base.ravel())
-                cols_l.append(col.ravel())
-                vals_l.append((-w / h).ravel())
-                rows_l.append(np.roll(base, -1, axis=axis).ravel())
-                cols_l.append(col.ravel())
-                vals_l.append((w / h).ravel())
-            # centered diffusion along this axis
-            for off, coef in ((-1, nu / h**2), (0, -2 * nu / h**2),
-                              (1, nu / h**2)):
-                rows_l.append(base.ravel())
-                cols_l.append(np.roll(base, -off, axis=axis).ravel())
-                vals_l.append(np.full(nx * ny, coef))
-
-        return BandedSparseMatrix(nx * ny, nx * ny, np.concatenate(rows_l),
-                                  np.concatenate(cols_l), np.concatenate(vals_l))
+        return _stencil(mesh, _burgers_axis_terms(f, dx, nu)
+                        + _burgers_axis_terms(f.T, dy, nu, axis=1))
 
     return SemiDiscreteSystem(
         kind="burgers2d",

@@ -30,12 +30,6 @@ class IndexSet:
         self.indices = idx
         self.indices.setflags(write=False)
 
-    @classmethod
-    def from_any(cls, obj) -> "IndexSet":
-        if isinstance(obj, IndexSet):
-            return obj
-        return cls(np.asarray(sorted(set(int(i) for i in obj)), dtype=np.int64))
-
     def positions_of(self, sub: "IndexSet") -> np.ndarray:
         """Positions of the members of `sub` within this set (all must belong)."""
         pos = np.searchsorted(self.indices, sub.indices)
@@ -191,14 +185,12 @@ class BandedSparseMatrix:
         """Largest entry magnitude (the rho of the decay bound); 0 if empty."""
         return float(np.max(np.abs(self.vals))) if self.vals.size else 0.0
 
-    def restrict(self, rows, cols) -> "BandedSparseMatrix":
+    def restrict(self, rows: IndexSet, cols: IndexSet) -> "BandedSparseMatrix":
         """Submatrix on the given global row/column sets, reindexed locally.
 
         Entries coupling to columns outside `cols` are dropped; the caller is
         responsible for accounting for them (see `halo`).
         """
-        rows = IndexSet.from_any(rows)
-        cols = IndexSet.from_any(cols)
         rpos = np.full(self.n_rows, -1, dtype=np.int64)
         rpos[rows.indices] = np.arange(len(rows))
         cpos = np.full(self.n_cols, -1, dtype=np.int64)
@@ -209,14 +201,12 @@ class BandedSparseMatrix:
             rpos[self.rows[keep]], cpos[self.cols[keep]], self.vals[keep],
         )
 
-    def halo(self, rows, cols) -> "BandedSparseMatrix":
+    def halo(self, rows: IndexSet, cols: IndexSet) -> "BandedSparseMatrix":
         """Couplings from `rows` to columns outside `cols`, as a (len(rows), n_cols) matrix.
 
         Applying the result to a full-length vector yields exactly the terms
         that `restrict(rows, cols)` dropped.
         """
-        rows = IndexSet.from_any(rows)
-        cols = IndexSet.from_any(cols)
         rpos = np.full(self.n_rows, -1, dtype=np.int64)
         rpos[rows.indices] = np.arange(len(rows))
         inside = np.zeros(self.n_cols, dtype=bool)

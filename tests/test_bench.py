@@ -2,9 +2,12 @@
 
 import logging
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lem import (
     BenchCase,
@@ -22,7 +25,10 @@ from lem.models import build_advdiff_1d
 
 def write(tmp_path, text, name="bench.ini"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -135,6 +141,25 @@ class TestParseConfig:
         ("[advdiff1d]\nrows = C=-1 B=4\n", "C must be positive", 2),
         ("[advdiff1d]\nrows = mu=inf B=4\n", "mu must be positive", 2),
         ("[advdiff1d]\nrows = C=1 B=8\nrefresh = 0\n", "at least 1", 3),
+        # keys are looked up as option names within their own section
+        ("[one]\ncase = advdiff1d\nrows = C=1 B=8\n\n"
+         "[two]\ncase = advdiff1d\nrows = C=1 B=x\n", "rows entry 1", 7),
+        ("[DENSE]\ncase = advdiff1d\nD = 1, x\nrows = C=1 B=8\n",
+         "malformed subdomain list", 3),
+        ("[advdiff1d]\n# T is the horizon\nT = soon\nrows = C=1 B=8\n",
+         "malformed number", 3),
+        ("[advdiff1d]\nrows = C=1 B=8\nREFRESH: 0\n", "at least 1", 3),
+        ("[DEFAULT]\nT = soon\n\n[advdiff1d]\nrows = C=1 B=8\n",
+         "malformed number", 2),
+        # no interpolation: '%' is plain text
+        ("[advdiff1d]\nrows = C=1% B=4\n", "rows entry 1", 2),
+        (b"[advdiff1d]\nrows = C=1 B=8\n# caf\xe9\n", "UTF-8", 3),
+        # INI syntax errors carry the line the parser names
+        ("# settings\nrows = C=1 B=2\n", "[section]", 2),
+        ("[advdiff1d]\nrows = C=1 B=2\n[advdiff1d]\nrows = C=1 B=4\n",
+         "duplicate section", 3),
+        ("[advdiff1d]\nrows = C=1 B=2\nRows = C=1 B=4\n", "duplicate key", 3),
+        ("[advdiff1d]\nrows = C=1 B=2\ngarbage\n", "key = value", 3),
     ])
     def test_errors_carry_file_and_line(self, tmp_path, text, needle, line):
         path = write(tmp_path, text)
@@ -142,7 +167,8 @@ class TestParseConfig:
             parse_config(path)
         msg = str(err.value)
         assert needle in msg
-        assert f"{path}:{line}" in msg
+        assert msg.startswith(f"{path}:{line}: ")
+        assert "\n" not in msg
 
     def test_bad_ini_syntax(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -160,6 +186,73 @@ class TestParseConfig:
         assert len(paths) >= 6
         for p in paths:
             assert parse_config(p), p
+
+
+VALID = """\
+[advdiff]
+case = advdiff1d
+n = 80
+T = 0.5
+D = 1, 2
+rows = C=1 B=8; dt=0.1 B=4
+
+[porous]
+case = porous1d
+# T is the horizon
+T = 0.25
+methods = ExpRB2
+phi_mode = KrylovAction
+oracle = BarenblattExact
+refresh = 2
+reference_tol = 1e-8
+rows = dt=0.01 B=4
+"""
+
+# keys whose errors must point at their own line
+_NUMERIC_KEYS = ("n", "T", "D", "refresh", "reference_tol", "rows")
+
+_VALUE_TEXT = st.one_of(
+    st.sampled_from(["%", "%(n)s", "nan", "inf", "-inf", "-1", "0", "1e400",
+                     "", "  ", "é", "1, ,2", "C=1% B=4", "dt=nan B=2",
+                     "C=1 B=inf", "mu=0 B=1", "[porous]"]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\r\n"), max_size=16),
+)
+
+
+class TestParseConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(pick=st.integers(0, 1000), value=_VALUE_TEXT)
+    def test_one_bad_value_gives_config_error_at_its_line(self, pick, value):
+        lines = VALID.splitlines()
+        options = [i for i, line in enumerate(lines)
+                   if "=" in line and not line.startswith("#")]
+        edit = options[pick % len(options)]
+        key = lines[edit].split("=", 1)[0].strip()
+        lines[edit] = f"{key} = {value}"
+        # the edited section spans from its header to the next one
+        header = max(i for i in range(edit) if lines[i].startswith("["))
+        end = min([i for i in range(edit, len(lines)) if lines[i].startswith("[")]
+                  + [len(lines)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prop.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            try:
+                cases = parse_config(path)
+            except ConfigError as exc:
+                msg = str(exc)
+            else:
+                assert [c.label for c in cases] == ["advdiff", "porous"]
+                return
+        assert msg.startswith(f"{path}:"), msg
+        line = int(msg[len(path) + 1:].split(":", 1)[0])
+        assert header < line <= end, msg
+        if key in _NUMERIC_KEYS:
+            assert line == edit + 1, msg
+
+    def test_template_is_valid(self, tmp_path):
+        assert len(parse_config(write(tmp_path, VALID))) == 2
 
 
 class TestRowDt:

@@ -37,6 +37,21 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "unknown oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b"[advdiff1d]\nrows = C=1% B=4\n",
+    b"[advdiff1d]\nrows = C=1 B=8\n# caf\xe9\n",
+    b"[advdiff1d]\nrows = C=1 B=2\n[advdiff1d]\n",
+], ids=["percent", "latin1", "duplicate"])
+def test_run_reports_config_error_in_one_line(tmp_path, capsys, data):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(data)
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.ini")])
     assert rc == 1

@@ -19,6 +19,8 @@ from lem import (
     exact_square_wave,
     stability_params,
 )
+from lem.models import _stencil
+from lem.sparse import BandedSparseMatrix
 
 
 def fd_jacobian(system, u, h=1e-6):
@@ -386,3 +388,94 @@ class TestBurgers2D:
             assert np.max(np.abs(jac - ref)) <= 1e-5, f"seed {seed}"
             found += 1
             seed += 1
+
+
+class TestStencil:
+    def test_periodic_wrap(self):
+        mesh = Mesh.line(5, 5.0)
+        a = _stencil(mesh, [(0, -1, 1.0), (0, 2, np.arange(5.0) + 1)]).to_dense()
+        want = np.zeros((5, 5))
+        for i in range(5):
+            want[i, (i - 1) % 5] = 1.0
+            want[i, (i + 2) % 5] = i + 1.0
+        assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("axis,off", [(0, 1), (0, -2), (1, 2), (1, -1)])
+    def test_dirichlet_clips_each_axis(self, axis, off):
+        nx, ny = 4, 7
+        mesh = Mesh.grid(nx, ny, 5.0, 8.0)
+        vals = np.arange(1.0, nx * ny + 1).reshape(nx, ny)
+        a = _stencil(mesh, [(axis, off, vals)]).to_dense()
+        want = np.zeros((nx * ny, nx * ny))
+        for ix in range(nx):
+            for iy in range(ny):
+                to = [ix, iy]
+                to[axis] += off
+                if 0 <= to[0] < nx and 0 <= to[1] < ny:
+                    want[ix * ny + iy, to[0] * ny + to[1]] = vals[ix, iy]
+        assert np.array_equal(a, want)
+
+    def test_sums_in_term_order(self):
+        mesh = Mesh.line(4, 4.0)
+        i = np.arange(4)
+        # offsets 2, -2 and 6 meet on one periodic column
+        for vals in ([1e-17, 1.0, -1.0], [1.0, 1e-17, -1.0], [-1.0, 1.0, 1e-17]):
+            got = _stencil(mesh, list(zip([0, 0, 0], [2, -2, 6], vals)))
+            want = BandedSparseMatrix(4, 4, np.tile(i, 3), np.tile((i + 2) % 4, 3),
+                                      np.repeat(vals, 4))
+            assert np.array_equal(got.to_dense(), want.to_dense())
+        # the order decides whether 1e-17 survives the cancellation
+        assert _stencil(mesh, [(0, 2, 1e-17), (0, -2, 1.0), (0, 6, -1.0)]).nnz == 4
+        assert _stencil(mesh, [(0, 2, 1.0), (0, -2, 1e-17), (0, 6, -1.0)]).nnz == 0
+
+    def test_bandwidth_hint(self):
+        line = Mesh.line(6, 6.0, "dirichlet")
+        assert _stencil(line, [(0, 2, 1.0)], bandwidth_hint=2).bandwidth == 2
+        with pytest.raises(ValueError, match="exceeds hint"):
+            _stencil(line, [(0, 2, 1.0)], bandwidth_hint=1)
+        with pytest.raises(ValueError, match="exceeds hint"):  # wrap reaches n-1
+            _stencil(Mesh.line(6, 6.0), [(0, 1, 1.0)], bandwidth_hint=1)
+
+
+class TestBurgersAxes:
+    @pytest.mark.parametrize("nx,ny,lx,ly,anisotropy", [
+        (16, 32, 8.0, 8.0, 2.0), (32, 64, 10.0, 5.0, 4.0), (40, 40, 10.0, 10.0, 1.0)])
+    @pytest.mark.parametrize("profile", ["gaussian", "random"])
+    def test_y_constant_rhs_is_burgers1d_bitwise(self, nx, ny, lx, ly,
+                                                 anisotropy, profile):
+        one = build_burgers_1d(nx, lx, 0.05)
+        two = build_burgers_2d(nx, ny, lx, ly, 0.05, anisotropy)
+        x = one.mesh.coords()
+        rng = np.random.default_rng(nx + ny)
+        for scale in (0.5, 1.0, 3.0):
+            p = (scale * np.exp(-(x - lx / 3) ** 2) if profile == "gaussian"
+                 else scale * rng.standard_normal(nx))
+            got = two.rhs(np.repeat(p[:, None], ny, axis=1).ravel(), 0.0)
+            want = one.rhs(p, 0.0)
+            assert np.array_equal(got.reshape(nx, ny),
+                                  np.repeat(want[:, None], ny, axis=1))
+
+
+class TestAdvDiff2DOracle:
+    @staticmethod
+    def dirichlet_1d(n, h):
+        """Centered first and second differences with zero boundary values."""
+        up, down = np.eye(n, k=1), np.eye(n, k=-1)
+        return (up - down) / (2 * h), (up + down - 2 * np.eye(n)) / h**2
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", [(7, 9, 3.0, 5.0), (12, 5, 6.0, 2.0)])
+    def test_matches_kronecker_oracle(self, nx, ny, lx, ly):
+        omega, nu = 1.7, 0.02
+        system = build_advdiff_2d(nx, ny, lx, ly, omega=omega, nu=nu)
+        dx, dy = system.mesh.dx
+        x, y = system.mesh.coords(0), system.mesh.coords(1)
+        ax, ay = -omega * (y - ly / 2), omega * (x - lx / 2)
+        d1x, d2x = self.dirichlet_1d(nx, dx)
+        d1y, d2y = self.dirichlet_1d(ny, dy)
+        ix, iy = np.eye(nx), np.eye(ny)
+        # x-major: node (ix, iy) -> ix*ny + iy; ax varies along y, ay along x
+        want = (-np.kron(d1x, np.diag(ax)) - np.kron(np.diag(ay), d1y)
+                + nu * (np.kron(d2x, iy) + np.kron(ix, d2y)))
+        got = system.linear_matrix.to_dense()
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        assert np.array_equal(got != 0, want != 0)

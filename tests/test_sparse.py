@@ -36,10 +36,6 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet([-1, 0])
 
-    def test_from_any_sorts_and_dedupes(self):
-        s = IndexSet.from_any([5, 1, 3, 1])
-        assert list(s) == [1, 3, 5]
-
     def test_positions_of(self):
         s = IndexSet([2, 4, 7, 9])
         assert list(s.positions_of(IndexSet([4, 9]))) == [1, 3]
