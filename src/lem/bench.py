@@ -127,6 +127,11 @@ _CASES: Dict[str, dict] = {
     ),
 }
 
+# model parameters that must be positive: lengths and the pulse width;
+# every other model parameter must be finite, and nu nonnegative too
+_POSITIVE_PARAMS = ("L", "lx", "ly", "sigma")
+
+
 @dataclass
 class BenchCase:
     """One benchmark case: a model, an oracle, and a sweep grid."""
@@ -262,6 +267,15 @@ def parse_config(path: str) -> List[BenchCase]:
                         _fail(path, text, section, key,
                               f"{key} must be a positive integer, got {sec[key]!r}")
                     params[key] = int(params[key])
+                elif not math.isfinite(params[key]):
+                    _fail(path, text, section, key,
+                          f"{key} must be finite, got {sec[key]!r}")
+                elif key in _POSITIVE_PARAMS and params[key] <= 0:
+                    _fail(path, text, section, key,
+                          f"{key} must be positive, got {sec[key]!r}")
+                elif key == "nu" and params[key] < 0:
+                    _fail(path, text, section, key,
+                          f"nu must be nonnegative, got {sec[key]!r}")
         t_end = reg["T"]
         if "T" in sec:
             try:

@@ -1,14 +1,21 @@
-"""Overlapping mesh decomposition: disjoint interiors plus buffer rings.
+"""Overlapping mesh decomposition: disjoint interiors, each inside a window of rows.
 
-Each subdomain owns a contiguous interior block D_i; the local problem is
-solved on M_i = D_i union B_i, where the buffer B_i absorbs the influence
-of the rest of the mesh over one step. After the step only interior values
-are kept, so every global degree of freedom is written by exactly one
-subdomain. The drivers that restrict an operator to M_i live in `steppers`.
+A row is one index of mesh axis 0: one node of a 1D mesh, the ny nodes of
+one grid column of a 2D mesh (x-major flattening). Subdomain i owns the
+interior rows [s_i, e_i), a contiguous range of global indices, and its
+local problem is solved on the window of rows [s_i - B, e_i + B), where
+the buffer rows absorb the influence of the rest of the mesh over one
+step. On a periodic axis the window wraps modulo n; on a Dirichlet axis
+it is cut at the ends. After the step only interior values are kept, so
+every global degree of freedom is written by exactly one subdomain. The
+drivers that restrict an operator to M_i live in `steppers`.
 
-The drivers advance all subdomains at once on one flat local vector: the
-M_i concatenated in partition order (`Partition.flat_locals`, one slice
-per subdomain between consecutive `offsets`). A `Partition` computes at
+M_i lists its nodes in window order, not by global index, so a window
+that wraps across a periodic end has the same layout as one that does
+not, and its interior sits at a fixed offset inside it. The drivers
+advance all subdomains at once on one flat local vector: the M_i
+concatenated in partition order (`Partition.flat_locals`, one slice per
+subdomain between consecutive `offsets`). A `Partition` computes at
 construction, for every mesh node, the position in that vector of its
 owner's value (`owner_positions`), and `gather_overwrite` reads it every
 step.
@@ -33,13 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint interiors, per-subdomain buffers, and their unions."""
+    """Disjoint interiors and the windows M_i they are solved on."""
 
     D: int
     interiors: List[IndexSet]
-    buffers: List[IndexSet]
     locals: List[IndexSet]
-    layout: str
     n_total: int
     b_nominal: int = 0
     flat_locals: np.ndarray = field(init=False, repr=False, compare=False)
@@ -47,42 +52,27 @@ class Partition:
     owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.D != len(self.interiors) or self.D != len(self.buffers):
-            raise ValueError("one interior and one buffer per subdomain")
-        seen = np.zeros(self.n_total, dtype=bool)
-        for i in range(self.D):
-            d_i = self.interiors[i].indices
-            if seen[d_i].any():
-                raise ValueError("interiors must be pairwise disjoint")
-            seen[d_i] = True
-            b_i = self.buffers[i].indices
-            if np.intersect1d(d_i, b_i, assume_unique=True).size:
-                raise ValueError(f"buffer of subdomain {i} overlaps its interior")
-            m_i = self.locals[i].indices
-            if not np.array_equal(m_i, np.union1d(d_i, b_i)):
-                raise ValueError(f"local set of subdomain {i} is not D_i union B_i")
-        if not seen.all():
-            raise ValueError("interiors must cover every mesh index")
+        if self.D != len(self.interiors) or self.D != len(self.locals):
+            raise ValueError("one interior and one window per subdomain")
         offsets = np.cumsum([0] + [len(m) for m in self.locals])
-        owners = np.empty(self.n_total, dtype=np.int64)
+        owners = np.full(self.n_total, -1, dtype=np.int64)
         for i, (m_i, d_i) in enumerate(zip(self.locals, self.interiors)):
-            owners[d_i.indices] = offsets[i] + m_i.positions_of(d_i)
+            m, d = m_i.indices, d_i.indices
+            if np.any(owners[d] >= 0):
+                raise ValueError("interiors must be pairwise disjoint")
+            lead = int(np.argmax(m == d[0]))
+            if not np.array_equal(m[lead:lead + d.size], d):
+                raise ValueError(
+                    f"interior of subdomain {i} is not a run of its window")
+            owners[d] = offsets[i] + lead + np.arange(d.size)
+        if np.any(owners < 0):
+            raise ValueError("interiors must cover every mesh index")
         flat = np.concatenate([m.indices for m in self.locals])
         for arr in (offsets, owners, flat):
             arr.setflags(write=False)
         object.__setattr__(self, "flat_locals", flat)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "owner_positions", owners)
-
-    def describe(self) -> str:
-        lines = [f"{self.layout}: {self.D} subdomains over {self.n_total} nodes"]
-        for i in range(self.D):
-            d_i, b_i = self.interiors[i], self.buffers[i]
-            lines.append(
-                f"  subdomain {i}: interior [{d_i.indices[0]}..{d_i.indices[-1]}] "
-                f"({len(d_i)} nodes), buffer {len(b_i)} nodes"
-            )
-        return "\n".join(lines)
 
     @property
     def dof_updates_per_step(self) -> int:
@@ -95,38 +85,25 @@ def _block_sizes(n: int, d: int) -> List[int]:
     return [base + 1 if i < rem else base for i in range(d)]
 
 
-def _buffer_for_block(start: int, stop: int, b: int, n: int,
-                      periodic: bool) -> np.ndarray:
-    if b == 0:
-        return np.empty(0, dtype=np.int64)
-    left = np.arange(start - b, start)
-    right = np.arange(stop, stop + b)
-    ring = np.concatenate([left, right])
-    if periodic:
-        ring %= n
-    else:
-        ring = ring[(ring >= 0) & (ring < n)]
-    return np.unique(ring)
-
-
 def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
-    """Split the mesh into d contiguous interior blocks with b-node buffers.
+    """Split mesh axis 0 into d contiguous interior blocks with b-row buffers.
 
-    1D meshes are split along their only axis (layout "blocks1d"); 2D
-    meshes are split into column blocks along the first (horizontal) axis
-    (layout "columns2d"), with buffers extending only along that axis and b
-    counting grid columns. Periodic buffers wrap across the ends; Dirichlet
-    buffers are clipped at physical boundaries. With d=1 the buffer is
-    empty by construction: the single subdomain has no exterior. Remainders
-    go to the leading subdomains.
+    Subdomain i owns the rows [s_i, e_i) of axis 0 and is solved on the
+    window [s_i - b, e_i + b), its nodes listed in window order. A row is
+    one node of a 1D mesh and one grid column (ny nodes) of a 2D mesh, so
+    1D and 2D meshes are split alike and b counts rows. Periodic windows
+    wrap across the ends, and stop after n rows where their two flanks
+    meet; Dirichlet windows are cut at the physical boundaries. With d=1
+    the window is the whole mesh: the single subdomain has no exterior.
+    Remainders go to the leading subdomains.
     """
     if d < 1:
         raise ValueError("need at least one subdomain")
     if b < 0:
         raise ValueError("buffer size must be nonnegative")
-    layout = "blocks1d" if mesh.dim == 1 else "columns2d"
 
     n_axis = mesh.n[0]
+    per_row = mesh.n_total // n_axis
     periodic = mesh.boundary[0] == "periodic"
     if d > n_axis:
         raise ValueError(f"cannot split {n_axis} nodes into {d} subdomains")
@@ -137,26 +114,22 @@ def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
             f"buffer of {b} nodes per side wraps onto its own interior "
             f"(only {n_axis - max(sizes)} exterior nodes along the axis)")
 
-    interiors, buffers, local_sets = [], [], []
+    interiors, windows = [], []
     start = 0
     for size in sizes:
         stop = start + size
-        axis_interior = np.arange(start, stop)
-        axis_buffer = _buffer_for_block(start, stop, b_eff, n_axis, periodic)
-        if layout == "blocks1d":
-            d_i, b_i = axis_interior, axis_buffer
+        lo, hi = start - b_eff, stop + b_eff
+        if periodic:
+            hi = min(hi, lo + n_axis)
         else:
-            # expand column indices to all rows of the flattened grid
-            ny = mesh.n[1]
-            d_i = (axis_interior[:, None] * ny + np.arange(ny)).reshape(-1)
-            b_i = (axis_buffer[:, None] * ny + np.arange(ny)).reshape(-1)
-        interiors.append(IndexSet(np.sort(d_i)))
-        buffers.append(IndexSet(np.sort(b_i)))
-        local_sets.append(IndexSet(np.union1d(d_i, b_i)))
+            lo, hi = max(lo, 0), min(hi, n_axis)
+        rows = np.arange(lo, hi) % n_axis
+        nodes = rows[:, None] * per_row + np.arange(per_row)
+        interiors.append(IndexSet(np.arange(start * per_row, stop * per_row)))
+        windows.append(IndexSet(nodes.reshape(-1)))
         start = stop
 
-    return Partition(D=d, interiors=interiors, buffers=buffers,
-                     locals=local_sets, layout=layout,
+    return Partition(D=d, interiors=interiors, locals=windows,
                      n_total=mesh.n_total, b_nominal=b_eff)
 
 

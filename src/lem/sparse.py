@@ -14,7 +14,7 @@ import scipy.sparse as _sp
 
 
 class IndexSet:
-    """Strictly increasing, duplicate-free array of global indices."""
+    """Duplicate-free array of nonnegative global indices, in the order given."""
 
     __slots__ = ("indices",)
 
@@ -23,21 +23,13 @@ class IndexSet:
         if idx.ndim != 1:
             raise ValueError("index set must be one-dimensional")
         if idx.size:
-            if idx[0] < 0:
+            if idx.min() < 0:
                 raise ValueError("negative index in index set")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("index set must be sorted strictly ascending")
+            srt = np.sort(idx)
+            if np.any(srt[1:] == srt[:-1]):
+                raise ValueError("index set must not repeat an index")
         self.indices = idx
         self.indices.setflags(write=False)
-
-    def positions_of(self, sub: "IndexSet") -> np.ndarray:
-        """Positions of the members of `sub` within this set (all must belong)."""
-        pos = np.searchsorted(self.indices, sub.indices)
-        if np.any(pos >= len(self.indices)) or np.any(
-            self.indices[np.minimum(pos, len(self.indices) - 1)] != sub.indices
-        ):
-            raise ValueError("subset contains indices not in this index set")
-        return pos
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -187,6 +179,9 @@ class BandedSparseMatrix:
 
     def restrict(self, rows: IndexSet, cols: IndexSet) -> "BandedSparseMatrix":
         """Submatrix on the given global row/column sets, reindexed locally.
+
+        Local row k is global row `rows.indices[k]` and local column k is
+        global column `cols.indices[k]`, in whatever order the sets list them.
 
         Entries coupling to columns outside `cols` are dropped; the caller is
         responsible for accounting for them (see `halo`).

@@ -118,6 +118,11 @@ class TestParseConfig:
         ("[advdiff1d]\nmethods = ExpEuler, Magic\nrows = C=1 B=2\n",
          "unknown method", 2),
         ("[advdiff1d]\nnu = fast\nrows = C=1 B=2\n", "malformed number", 2),
+        ("[advdiff1d]\nnu = nan\nrows = C=1 B=2\n", "nu must be finite", 2),
+        ("[advdiff1d]\nrows = C=1 B=2\nL = -10\n", "L must be positive", 3),
+        ("[advdiff1d]\nsigma = 0\nrows = C=1 B=2\n", "sigma must be positive", 2),
+        ("[schrodinger1d]\nkappa = inf\nrows = C=1 B=2\n",
+         "kappa must be finite", 2),
         ("[advdiff1d]\nD = 1, two\nrows = C=1 B=2\n", "malformed", 2),
         ("[advdiff1d]\nT = soon\nrows = C=1 B=2\n", "malformed number", 2),
         ("[advdiff1d]\n", "no rows", 1),
@@ -192,6 +197,8 @@ VALID = """\
 [advdiff]
 case = advdiff1d
 n = 80
+L = 10
+nu = 0.025
 T = 0.5
 D = 1, 2
 rows = C=1 B=8; dt=0.1 B=4
@@ -209,7 +216,7 @@ rows = dt=0.01 B=4
 """
 
 # keys whose errors must point at their own line
-_NUMERIC_KEYS = ("n", "T", "D", "refresh", "reference_tol", "rows")
+_NUMERIC_KEYS = ("n", "L", "nu", "T", "D", "refresh", "reference_tol", "rows")
 
 _VALUE_TEXT = st.one_of(
     st.sampled_from(["%", "%(n)s", "nan", "inf", "-inf", "-1", "0", "1e400",
@@ -343,10 +350,10 @@ class TestSweepAndCsv:
     def test_emit_order_deterministic(self, tmp_path):
         (case,) = parse_build(CHEAP)
         reports = run_sweep(case, timing=False)
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        emit_csv(reports, p1)
-        emit_csv(list(reversed(reports)), p2)
-        assert open(p1).read() == open(p2).read()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(reports, str(p1))
+        emit_csv(list(reversed(reports)), str(p2))
+        assert p1.read_text() == p2.read_text()
 
     def test_load_rejects_foreign_header(self, tmp_path):
         p = tmp_path / "alien.csv"

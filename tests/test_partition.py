@@ -1,4 +1,4 @@
-"""Partitioning: interiors, buffers, interior positions, and gathering."""
+"""Partitioning: interiors, windows of rows, interior positions, and gathering."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lem import (
     IndexSet,
     Mesh,
+    Partition,
+    build_advdiff_1d,
     gather_overwrite,
     make_partition,
 )
@@ -39,20 +41,43 @@ class TestMakePartition:
 
     def test_periodic_buffer_wraps(self):
         part = make_partition(Mesh.line(40, 10.0), 4, 3)
-        first = part.buffers[0].indices
-        assert 37 in first and 38 in first and 39 in first  # wraps below 0
-        assert 10 in first and 12 in first  # extends past the interior
+        # window order: wraps below 0, then runs past the interior
+        assert part.locals[0].indices.tolist() == [37, 38, 39] + list(range(13))
 
     def test_dirichlet_buffer_clips(self):
         part = make_partition(Mesh.line(40, 10.0, boundary="dirichlet"), 4, 3)
-        first = part.buffers[0].indices
-        assert first.min() == 10 and first.max() == 12  # nothing below 0
+        assert part.locals[0].indices.tolist() == list(range(13))  # nothing below 0
+        assert part.locals[3].indices.tolist() == list(range(27, 40))
 
     def test_single_domain_degenerate(self):
         part = make_partition(Mesh.line(64, 10.0), 1, 9)
-        assert len(part.buffers[0]) == 0
+        assert part.locals[0] == part.interiors[0]  # no buffer
         assert len(part.locals[0]) == 64
         assert part.dof_updates_per_step == 64
+
+    def test_inconsistent_partition_rejected(self):
+        d0, d1 = IndexSet(range(4)), IndexSet(range(4, 8))
+        for interiors, windows in (
+            ([d0, d0], [d0, d1]),                       # overlapping interiors
+            ([d0, IndexSet(range(4, 7))], [d0, d1]),    # node 7 has no owner
+            ([d0, d1], [d0, IndexSet([5, 4, 6, 7])]),   # interior not a run
+        ):
+            with pytest.raises(ValueError):
+                Partition(D=2, interiors=interiors, locals=windows, n_total=8)
+
+    def test_window_order_translation_invariant(self):
+        # every window, wrapped or not, restricts to the same local operator
+        system = build_advdiff_1d(400, 10.0, 1.0, 0.025)
+        a = system.linear_matrix
+        for d in (4, 10, 20):
+            for b in (8, 15):
+                part = make_partition(system.mesh, d, b)
+                ref = a.restrict(part.locals[0], part.locals[0])
+                for m_i in part.locals[1:]:
+                    loc = a.restrict(m_i, m_i)
+                    assert np.array_equal(loc.rows, ref.rows)
+                    assert np.array_equal(loc.cols, ref.cols)
+                    assert np.array_equal(loc.vals, ref.vals)
 
     def test_overlapping_buffers_rejected_periodic(self):
         # two periodic subdomains cannot carry buffers wider than the gap
@@ -74,14 +99,9 @@ class TestMakePartition:
         # strips of 6 columns, each column ny cells, buffered by 3 columns
         assert all(len(s) == 60 for s in part.interiors)
         assert len(part.locals[1]) == (6 + 6) * 10
-        assert part.layout == "columns2d"
-
-    def test_describe_mentions_sizes(self):
-        part = make_partition(Mesh.line(400, 10.0), 8, 18)
-        text = part.describe()
-        assert "8 subdomains" in text
-        assert "50 nodes" in text
-        assert "36 nodes" in text  # both buffer flanks
+        # whole columns: window 1 spans columns 3..14, window 0 is cut at 0
+        assert part.locals[1].indices.tolist() == list(range(30, 150))
+        assert part.locals[0].indices.tolist() == list(range(90))
 
 
 def flat_result(part, value_of):
@@ -158,6 +178,11 @@ class TestPartitionProperties:
         assert len(flat) == part.dof_updates_per_step == off[-1]
         for i, m_i in enumerate(part.locals):
             assert np.array_equal(flat[off[i]:off[i + 1]], m_i.indices)
+        # each window is a run of whole rows, consecutive modulo n_axis
+        for m_i in part.locals:
+            r = m_i.indices.reshape(-1, rows)
+            assert np.array_equal(r, r[:, :1] + np.arange(rows))
+            assert np.all(np.diff(r[:, 0] // rows) % n_axis == 1)
         pos = part.owner_positions
         assert np.array_equal(flat[pos], np.arange(n))
         # each node's value is read from its owner's slice
@@ -179,11 +204,7 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet([3, 3, 4])
         with pytest.raises(ValueError):
-            IndexSet([5, 4])
-
-    def test_positions_subset(self):
-        s = IndexSet([2, 5, 9, 14])
-        sub = IndexSet([5, 14])
-        assert list(s.positions_of(sub)) == [1, 3]
+            IndexSet([4, 3, 4])
         with pytest.raises(ValueError):
-            s.positions_of(IndexSet([5, 7]))
+            IndexSet([5, -4])
+        assert IndexSet([5, 4]).indices.tolist() == [5, 4]

@@ -28,19 +28,15 @@ def periodic_advection(n, u=1.0, dx=1.0):
 
 class TestIndexSet:
     def test_sorted_unique_enforced(self):
-        IndexSet([0, 2, 5])
-        with pytest.raises(ValueError):
-            IndexSet([2, 0, 5])
+        assert IndexSet([2, 0, 5]).indices.tolist() == [2, 0, 5]  # order kept
         with pytest.raises(ValueError):
             IndexSet([0, 2, 2])
         with pytest.raises(ValueError):
-            IndexSet([-1, 0])
-
-    def test_positions_of(self):
-        s = IndexSet([2, 4, 7, 9])
-        assert list(s.positions_of(IndexSet([4, 9]))) == [1, 3]
+            IndexSet([2, 0, 2])
         with pytest.raises(ValueError):
-            s.positions_of(IndexSet([3]))
+            IndexSet([-1, 0])
+        with pytest.raises(ValueError):
+            IndexSet([3, -1])
 
 
 class TestMatvec:
@@ -114,24 +110,24 @@ class TestRestrict:
     def test_halo_complements_restrict(self):
         rng = np.random.default_rng(3)
         a = periodic_advection(12, u=0.7, dx=0.1)
-        keep = IndexSet([2, 3, 4, 5])
-        local = a.restrict(keep, keep)
-        halo = a.halo(keep, keep)
         x = rng.standard_normal(12)
-        full_rows = a.matvec(x)[keep.indices]
-        split = local.matvec(x[keep.indices]) + halo.matvec(x)
-        np.testing.assert_allclose(split, full_rows, rtol=1e-14, atol=1e-14)
+        for keep in (IndexSet([2, 3, 4, 5]), IndexSet([5, 3, 2, 4])):
+            local = a.restrict(keep, keep)
+            halo = a.halo(keep, keep)
+            full_rows = a.matvec(x)[keep.indices]
+            split = local.matvec(x[keep.indices]) + halo.matvec(x)
+            np.testing.assert_allclose(split, full_rows, rtol=1e-14, atol=1e-14)
 
     def test_restriction_consistency_random(self):
         # restrict then densify == densify then slice, couplings outside dropped
         rng = np.random.default_rng(5)
         d = rng.standard_normal((9, 9))
         a = BandedSparseMatrix.from_dense(d)
-        r = IndexSet([0, 4, 8])
-        c = IndexSet([1, 4, 6])
-        np.testing.assert_allclose(
-            a.restrict(r, c).to_dense(), d[np.ix_(r.indices, c.indices)]
-        )
+        for r, c in ((IndexSet([0, 4, 8]), IndexSet([1, 4, 6])),
+                     (IndexSet([8, 0, 4]), IndexSet([6, 1, 4]))):
+            np.testing.assert_allclose(
+                a.restrict(r, c).to_dense(), d[np.ix_(r.indices, c.indices)]
+            )
 
 
 class TestScalars:
