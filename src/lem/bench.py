@@ -263,9 +263,10 @@ def parse_config(path: str) -> List[BenchCase]:
                     _fail(path, text, section, key,
                           f"malformed number {sec[key]!r} for {key}")
                 if isinstance(default, int):  # mesh sizes
-                    if not (params[key].is_integer() and params[key] >= 1):
+                    if not (params[key].is_integer() and params[key] >= 4):
                         _fail(path, text, section, key,
-                              f"{key} must be a positive integer, got {sec[key]!r}")
+                              f"{key} must be a positive integer of at least "
+                              f"4, got {sec[key]!r}")
                     params[key] = int(params[key])
                 elif not math.isfinite(params[key]):
                     _fail(path, text, section, key,
@@ -276,6 +277,11 @@ def parse_config(path: str) -> List[BenchCase]:
                 elif key == "nu" and params[key] < 0:
                     _fail(path, text, section, key,
                           f"nu must be nonnegative, got {sec[key]!r}")
+        # the model owns the rules that join its parameters
+        try:
+            system = reg["build"](params)
+        except (ValueError, ArithmeticError) as exc:
+            _fail(path, text, section, "", f"case {kind}: {exc}")
         t_end = reg["T"]
         if "T" in sec:
             try:
@@ -316,7 +322,8 @@ def parse_config(path: str) -> List[BenchCase]:
                 continue
             try:
                 rows.append(_parse_row(item))
-            except ValueError as exc:
+                _row_dt(rows[-1], system, t_end)
+            except (ValueError, ArithmeticError) as exc:
                 _fail(path, text, section, "rows", f"rows entry {k + 1}: {exc}")
         if not rows:
             _fail(path, text, section, "rows", "case declares no rows")
@@ -446,7 +453,6 @@ def _run_cell(case: BenchCase, system: SemiDiscreteSystem, method: str,
     cfg = StepperConfig(
         method=method, dt=dt, t_end=case.t_end,
         jacobian_refresh_every=case.refresh, phi_mode=case.phi_mode,
-        reference_tol=case.reference_tol,
     )
     try:
         if d == 1:

@@ -61,6 +61,10 @@ _DROP = np.finfo(float).eps ** 2
 # exponential of size m + k)
 KRYLOV_CHECK_EVERY = 4
 
+# Krylov stopping tolerance (relative to ||v||) and dimension cap
+KRYLOV_TOL = 1e-10
+KRYLOV_M_MAX = 60
+
 
 class _Block:
     """[[X, Y_1 ... Y_k], [0, T kron I]], stored as its top block row and T.
@@ -224,7 +228,8 @@ def phi_hessenberg_e1(h: np.ndarray, k: int) -> np.ndarray:
 
 
 def phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
-                      tol: float = 1e-10, m_max: int = 60) -> np.ndarray:
+                      tol: float = KRYLOV_TOL,
+                      m_max: int = KRYLOV_M_MAX) -> np.ndarray:
     """Arnoldi approximation of phi_k(dt A) v without forming phi_k(dt A).
 
     Builds an orthonormal basis V_m of the Krylov space of dt*A by
@@ -248,7 +253,7 @@ def phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
 
 
 def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
-                       tol: float = 1e-10, m_max: int = 60):
+                       tol: float = KRYLOV_TOL, m_max: int = KRYLOV_M_MAX):
     """phi_action_krylov worker: (result, Krylov dimension used, converged).
 
     It never warns; hitting m_max without meeting the tolerance returns
@@ -309,8 +314,9 @@ class PhiEvaluator:
     them by matrix-vector products. `stacked` joins the stored matrices of
     several equal-size operators along a leading batch axis, so one `apply`
     serves all of them. KrylovAction mode runs an Arnoldi iteration per
-    application of one vector, recording its dimension in `krylov_dims` and
-    counting applications that hit m_max unconverged in `krylov_misses`.
+    application of one vector at KRYLOV_TOL, recording its dimension in
+    `krylov_dims` and counting applications that hit KRYLOV_M_MAX
+    unconverged in `krylov_misses`.
     Both evaluate the same mathematical object.
     """
 
@@ -319,8 +325,6 @@ class PhiEvaluator:
     order_max: int
     _op: object = field(repr=False, default=None)
     _cached: list = field(repr=False, default=None)
-    krylov_tol: float = 1e-10
-    krylov_m_max: int = 60
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
@@ -331,10 +335,8 @@ class PhiEvaluator:
         return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=phis)
 
     @classmethod
-    def krylov(cls, a, dt: float, order_max: int,
-               tol: float = 1e-10, m_max: int = 60) -> "PhiEvaluator":
-        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a,
-                   krylov_tol=tol, krylov_m_max=m_max)
+    def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
+        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
 
     @classmethod
     def stacked(cls, members: list) -> "PhiEvaluator":
@@ -353,10 +355,7 @@ class PhiEvaluator:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
             return (self._cached[k] @ vec[..., None])[..., 0]
-        result, m_used, converged = _phi_action_krylov(
-            self._op, self.dt, vec, k,
-            tol=self.krylov_tol, m_max=self.krylov_m_max,
-        )
+        result, m_used, converged = _phi_action_krylov(self._op, self.dt, vec, k)
         self.krylov_dims.append(m_used)
         self.krylov_misses += not converged
         return result

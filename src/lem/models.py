@@ -151,7 +151,7 @@ class SemiDiscreteSystem:
 
     ``jacobian`` returns the analytic Jacobian of ``rhs`` at a state; for
     linear systems it is the constant matrix ``linear_matrix`` and
-    ``rhs(u, t) == linear_matrix @ u + forcing(t)`` exactly.
+    ``rhs(u, t) == linear_matrix @ u`` exactly.
     ``wave_speed``/``diffusivity`` report the coefficients entering the
     Courant and diffusion numbers, evaluated at a state for nonlinear
     problems.
@@ -164,7 +164,6 @@ class SemiDiscreteSystem:
     initial: np.ndarray
     is_linear: bool = False
     linear_matrix: Optional[BandedSparseMatrix] = None
-    forcing: Optional[Callable[[float], np.ndarray]] = None
     exact: Optional[Callable[[float], np.ndarray]] = None
     wave_speed: Callable[[np.ndarray], float] = lambda u: 0.0
     diffusivity: Callable[[np.ndarray], float] = lambda u: 0.0

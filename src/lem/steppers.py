@@ -4,10 +4,10 @@
 subdomains at once on data frozen at t_n and gathers the interiors: the
 local states are one flat vector, the residual is two sparse matvecs (the
 block-diagonal local operators and the stacked exterior couplings), each
-group of equal-size subdomains takes one batched phi product (Krylov
-subdomains one Arnoldi action each), and one scatter keeps the interiors.
-`run_global` runs exponential methods through it on the one-subdomain
-partition, so both share one step formula.
+run of consecutive equal-size subdomains takes one batched phi product
+(Krylov subdomains one Arnoldi action each), and one scatter keeps the
+interiors. `run_global` runs exponential methods through it on the
+one-subdomain partition, so both share one step formula.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import identity as sp_identity
 from scipy.sparse.linalg import splu
 
-from .expm import PhiEvaluator
+from .expm import KRYLOV_M_MAX, PhiEvaluator
 from .models import SemiDiscreteSystem, stability_params
 from .partition import Partition, gather_overwrite, make_partition
 from .reports import RunReport
@@ -53,7 +54,7 @@ __all__ = [
 
 _EXP_METHODS = ("ExpEuler", "ExpRB2", "ExpRB3")
 _CLASSICAL_METHODS = ("RK2", "RK3", "RK4", "CrankNicolson")
-_ALL_METHODS = _EXP_METHODS + _CLASSICAL_METHODS + ("AdaptiveReference",)
+_ALL_METHODS = _EXP_METHODS + _CLASSICAL_METHODS
 _PHI_MODES = ("DenseStored", "KrylovAction")
 
 
@@ -66,7 +67,6 @@ class StepperConfig:
     t_end: float
     jacobian_refresh_every: Optional[int] = None  # None: never (linear) / 5
     phi_mode: str = "DenseStored"
-    reference_tol: float = 1e-9
     record_trajectory: bool = False
 
     def __post_init__(self):
@@ -108,14 +108,15 @@ class _StackedStep:
     acting on it and `halo` the stacked exterior couplings [H_1; ...; H_D]
     acting on the global state, both built from each subdomain's own
     `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
-    A_i v_i + H_i u bitwise. Subdomains of equal size share one stacked
-    DenseStored phi evaluator; a lone subdomain, and every Krylov one,
-    keeps its own. A `groups` entry is (slice or index array into the flat
-    vector, shape of the evaluator's input, evaluator).
+    A_i v_i + H_i u bitwise. A run is a maximal sequence of consecutive
+    DenseStored subdomains of equal size, and shares one stacked evaluator;
+    a run of one, and every Krylov subdomain, keeps its own. The runs tile
+    the flat vector in partition order. A `runs` entry is (slice of the
+    flat vector, shape of the evaluator's input, evaluator).
     """
 
     __slots__ = ("system", "part", "dt", "method", "a_sum", "halo", "g_shift",
-                 "groups")
+                 "runs")
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
                  u: np.ndarray, t_n: float, cfg: StepperConfig):
@@ -142,39 +143,30 @@ class _StackedStep:
         self.halo = BandedSparseMatrix.vstack(halos)
         self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
 
-        # dense subdomains are grouped by size; a Krylov one is its own group
-        members = {}
-        for i, m_i in enumerate(part.locals):
-            members.setdefault(i if krylov else len(m_i), []).append(i)
+        # runs of consecutive equal-size dense subdomains; a Krylov
+        # subdomain is a run of one
         off = part.offsets
-        self.groups = []
-        for ids in members.values():
-            size = len(part.locals[ids[0]])
-            if ids[-1] - ids[0] == len(ids) - 1:  # consecutive subdomains
-                sel = slice(off[ids[0]], off[ids[-1] + 1])
+        self.runs = []
+        for _, ids in groupby(range(part.D), key=lambda i: i if krylov
+                              else len(part.locals[i])):
+            ids = list(ids)
+            lo, hi = ids[0], ids[-1] + 1
+            sel, size = slice(off[lo], off[hi]), len(part.locals[lo])
+            if hi - lo == 1:
+                self.runs.append((sel, (size,), phis[lo]))
             else:
-                sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in ids])
-            if len(ids) == 1:
-                self.groups.append((sel, (size,), phis[ids[0]]))
-            else:
-                self.groups.append((sel, (len(ids), size),
-                                    PhiEvaluator.stacked([phis[i] for i in ids])))
+                self.runs.append((sel, (hi - lo, size),
+                                  PhiEvaluator.stacked(phis[lo:hi])))
 
     @property
     def evaluators(self) -> List[PhiEvaluator]:
-        return [phi for _, _, phi in self.groups]
+        return [phi for _, _, phi in self.runs]
 
     def phi(self, k: int, x: np.ndarray) -> np.ndarray:
         """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
-        if len(self.groups) == 1:
-            sel, shape, phi = self.groups[0]
-            return phi.apply(k, x.reshape(shape)).reshape(-1)
-        parts = [(sel, phi.apply(k, x[sel].reshape(shape)))
-                 for sel, shape, phi in self.groups]
-        out = np.empty(len(x), dtype=np.result_type(*(y for _, y in parts)))
-        for sel, y in parts:
-            out[sel] = y.reshape(-1)
-        return out
+        out = [phi.apply(k, x[sel].reshape(shape)).reshape(-1)
+               for sel, shape, phi in self.runs]
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
         """One step of every subdomain from u at t_n, as one flat vector."""
@@ -196,10 +188,7 @@ class _StackedStep:
 
         # ExpEuler on linear systems; ExpRB2 propagates the frozen
         # quasi-linearization, whose affine shift g_shift was set at refresh
-        b = self.halo.matvec(u)
-        if system.forcing is not None:
-            b = b + system.forcing(t_n)[idx]
-        w = self.a_sum.matvec(v) + b
+        w = self.a_sum.matvec(v) + self.halo.matvec(u)
         if self.g_shift is not None:
             w = w + self.g_shift
         return v + dt * self.phi(1, w)
@@ -254,7 +243,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     if misses:
         captured.append(
             f"phi_action_krylov: no convergence within "
-            f"m_max={step.evaluators[0].krylov_m_max} in {misses} of "
+            f"m_max={KRYLOV_M_MAX} in {misses} of "
             f"{len(dims)} applications")
     sp = stability_params(system, cfg.dt)
     return RunReport(
@@ -310,11 +299,8 @@ def _run_classical(system: SemiDiscreteSystem, cfg: StepperConfig) -> RunReport:
                 solver = splu(lhs)
             f_n = system.rhs(u, t_n)
             if system.is_linear:
-                # trapezoidal: (I - dt/2 A) u+ = u + dt/2 (A u + g_n) + dt/2 g_{n+1}
-                rhs_vec = u + 0.5 * cfg.dt * f_n
-                if system.forcing is not None:
-                    rhs_vec = rhs_vec + 0.5 * cfg.dt * system.forcing(t_n + cfg.dt)
-                u = solver.solve(rhs_vec)
+                # trapezoidal: (I - dt/2 A) u+ = u + dt/2 A u
+                u = solver.solve(u + 0.5 * cfg.dt * f_n)
             else:
                 # modified Newton with the frozen factorization; judged by
                 # the residual, since limiter kinks can cycle harmlessly at
@@ -365,16 +351,6 @@ def run_global(system: SemiDiscreteSystem, cfg: StepperConfig) -> RunReport:
     if cfg.method in _EXP_METHODS:
         part = make_partition(system.mesh, 1, 0)
         return run_lem(system, part, cfg)
-    if cfg.method == "AdaptiveReference":
-        t_start = time.perf_counter()
-        u_end = run_reference(system, cfg.t_end, cfg.reference_tol)
-        wall = time.perf_counter() - t_start
-        sp = stability_params(system, cfg.dt)
-        return RunReport(
-            case=system.kind, method=cfg.method, D=1, B=0,
-            courant=sp.courant, mu=sp.mu, dt=cfg.dt, wall_seconds=wall,
-            dof_updates_per_step=system.n, final_state=u_end,
-        )
     return _run_classical(system, cfg)
 
 

@@ -165,6 +165,23 @@ class TestParseConfig:
          "duplicate section", 3),
         ("[advdiff1d]\nrows = C=1 B=2\nRows = C=1 B=4\n", "duplicate key", 3),
         ("[advdiff1d]\nrows = C=1 B=2\ngarbage\n", "key = value", 3),
+        # the model's own rules: mesh sizes at their key, joint parameter
+        # rules at the section header, row steps at the rows line
+        ("[advdiff1d]\nn = 3\nrows = C=1 B=0\n", "at least 4", 2),
+        ("[porous1d]\namp = 0\nrows = dt=0.01 B=4\n", "amplitude", 1),
+        ("[porous1d]\nm = 0.5\nrows = dt=0.01 B=4\n", "exponent m", 1),
+        ("[porous1d]\nt0 = -1\nrows = dt=0.01 B=4\n", "t0 must be positive", 1),
+        ("[fv_advection1d]\nu_adv = 0\nrows = dt=0.01 B=4\n",
+         "wave speed must be positive", 1),
+        ("[burgers2d]\nanisotropy = 3\nnx = 8\nny = 8\nrows = dt=0.01 B=1\n",
+         "inconsistent with anisotropy", 1),
+        ("[porous1d]\nrows = C=1 B=0\n", "no wave speed", 2),
+        ("[fv_advection1d]\nrows = mu=1 B=0\n", "no diffusivity", 2),
+        ("[advdiff1d]\nmethods = AdaptiveReference\nrows = C=1 B=0\n",
+         "unknown method", 2),
+        # a model or row step that overflows is a config error too
+        ("[advdiff1d]\nL = 1e-300\nrows = dt=0.01 B=4\n", "division by zero", 1),
+        ("[advdiff1d]\nT = 1e308\nrows = dt=0.01 B=4\n", "infinity", 3),
     ])
     def test_errors_carry_file_and_line(self, tmp_path, text, needle, line):
         path = write(tmp_path, text)

@@ -291,13 +291,6 @@ class TestRunReference:
         with pytest.raises(ValueError):
             run_reference(system, 1.0, 1e-4)
 
-    def test_reference_method_in_report(self):
-        system = build_advdiff_1d(32, 10.0, 1.0, 0.03)
-        rep = run_global(system, StepperConfig(
-            method="AdaptiveReference", dt=1.0, t_end=1.0))
-        assert rep.method == "AdaptiveReference"
-        assert rep.wall_seconds > 0
-
 
 class TestReportContents:
     def test_fields_filled(self):
@@ -361,10 +354,6 @@ def _ref_build_caches(system, part, u, t_n, cfg):
 
 def _ref_local_step(system, cache, u, t_n, dt, method):
     v = u[cache.idx]
-    b = cache.halo.matvec(u)
-    if system.forcing is not None:
-        b = b + system.forcing(t_n)[cache.idx]
-
     if method == "ExpRB3" and not system.is_linear:
         def f_loc(w):
             full = u.copy()
@@ -376,7 +365,7 @@ def _ref_local_step(system, cache, u, t_n, dt, method):
         dn = f_loc(u_2) - f_n - cache.a_loc.matvec(u_2 - v)
         return u_2 + 2 * dt * cache.phi.apply(3, dn)
 
-    w = cache.a_loc.matvec(v) + b
+    w = cache.a_loc.matvec(v) + cache.halo.matvec(u)
     if cache.g_shift is not None:
         w = w + cache.g_shift
     return v + dt * cache.phi.apply(1, w)
@@ -412,8 +401,8 @@ def reference_run_lem(system, part, cfg):
 def banded_systems(draw):
     """A small random banded system on a 1D or column-split 2D mesh.
 
-    Linear systems may carry a forcing; nonlinear ones add a quadratic
-    term, u' = A u + 0.1 u^2, with Jacobian A + 0.2 diag(u).
+    Nonlinear systems add a quadratic term, u' = A u + 0.1 u^2, with
+    Jacobian A + 0.2 diag(u).
     """
     dim = draw(st.sampled_from((1, 2)))
     boundary = draw(st.sampled_from(("periodic", "dirichlet")))
@@ -449,14 +438,9 @@ def banded_systems(draw):
                            np.concatenate(vals))
     initial = draw_vals(n) * 0.5
     if linear:
-        forcing = None
-        if draw(st.booleans()):
-            g = draw_vals(n)
-            forcing = lambda t: np.cos(t) * g  # noqa: E731
         return SemiDiscreteSystem(
             kind="random", mesh=mesh, is_linear=True, linear_matrix=a,
-            forcing=forcing, initial=initial,
-            rhs=lambda u, t: a.matvec(u) + (0 if forcing is None else forcing(t)),
+            initial=initial, rhs=lambda u, t: a.matvec(u),
             jacobian=lambda u: a)
     dense = a.to_dense()
     return SemiDiscreteSystem(
@@ -511,6 +495,26 @@ class TestStackedStep:
         assert np.max(np.abs(rep.final_state - u_ref)) <= 1e-12 * scale
         assert sorted(log) == ref_log
 
+        # the runs are slices that tile the flat vector in partition order;
+        # each is a maximal sequence of consecutive equal-size subdomains,
+        # and a Krylov one has a single member
+        step = _StackedStep(system, part, system.initial, 0.0, cfg)
+        off = list(part.offsets)
+        sizes = [len(m_i) for m_i in part.locals]
+        stop, first, run_sizes = 0, 0, []
+        for sel, shape, _ in step.runs:
+            assert isinstance(sel, slice) and sel.start == stop
+            count = shape[0] if len(shape) == 2 else 1
+            assert off[first] == sel.start and off[first + count] == sel.stop
+            assert sizes[first:first + count] == [shape[-1]] * count
+            if cfg.phi_mode == "KrylovAction":
+                assert count == 1
+            stop, first = sel.stop, first + count
+            run_sizes.append(shape[-1])
+        assert stop == part.dof_updates_per_step and first == part.D
+        if cfg.phi_mode == "DenseStored":
+            assert all(a != b for a, b in zip(run_sizes, run_sizes[1:]))
+
     @settings(max_examples=30, deadline=None)
     @given(stepping_cases())
     def test_single_domain_equals_global_bitwise(self, case):
@@ -523,12 +527,14 @@ class TestStackedStep:
         for a, b in zip(r_lem.trajectory, r_glob.trajectory):
             assert np.array_equal(a, b)
 
-    def test_groups_by_size(self):
-        # the clipped Dirichlet ends share a size group, apart from the
-        # unclipped subdomains between them
+    def test_groups_are_runs(self):
+        # the clipped Dirichlet ends are runs of one on either side of the
+        # run of unclipped subdomains
         system = build_porous_1d(64, 10.0)
         part = make_partition(system.mesh, 4, 6)
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
-        assert sorted(shape for _, shape, _ in step.groups) == [(2, 22), (2, 28)]
+        assert [shape for _, shape, _ in step.runs] == [(22,), (2, 28), (22,)]
+        assert [(sel.start, sel.stop) for sel, _, _ in step.runs] == [
+            (0, 22), (22, 78), (78, 100)]
         assert step.a_sum.shape == (100, 100) and step.halo.shape == (100, 64)
