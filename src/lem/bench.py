@@ -449,12 +449,13 @@ def _row_dt(row: dict, system: SemiDiscreteSystem, t_end: float) -> float:
 def _run_cell(case: BenchCase, system: SemiDiscreteSystem, method: str,
               row: dict, d: int, u_oracle: np.ndarray,
               timing: bool) -> RunReport:
-    dt = _row_dt(row, system, case.t_end)
-    cfg = StepperConfig(
-        method=method, dt=dt, t_end=case.t_end,
-        jacobian_refresh_every=case.refresh, phi_mode=case.phi_mode,
-    )
+    dt = float("nan")
     try:
+        dt = _row_dt(row, system, case.t_end)
+        cfg = StepperConfig(
+            method=method, dt=dt, t_end=case.t_end,
+            jacobian_refresh_every=case.refresh, phi_mode=case.phi_mode,
+        )
         if d == 1:
             report = run_global(system, cfg)
         else:

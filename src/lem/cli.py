@@ -27,6 +27,12 @@ def _cmd_run(args) -> int:
     if args.workers > 1 and not args.no_timing:
         print("error: --workers N needs --no-timing", file=sys.stderr)
         return 1
+    if args.workers > 1 and "1" not in (os.environ.get(var, "").strip() for var in
+                                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        print(f"warning: --workers {args.workers} runs {args.workers} cells at "
+              "once, each on every BLAS thread; start lem with "
+              "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1), or the run can "
+              "be slower than with one worker", file=sys.stderr)
     try:
         cases = parse_config(args.config)
     except (ConfigError, OSError) as exc:

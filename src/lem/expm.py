@@ -4,7 +4,9 @@ The local exponential method needs three flavors of exponential machinery:
 
 * `expm_dense` - scaling and squaring with a diagonal Pade approximant of
   order 13, scaling until the 1-norm of the scaled matrix is at most
-  theta_13 = 5.37 (Al-Mohy & Higham, SIMAX 2009).
+  theta_13 = 5.37 (Al-Mohy & Higham, SIMAX 2009). It also takes a
+  (G, n, n) stack, each member scaled and squared as often as it needs
+  alone, so that one call serves many small matrices.
 * `phi_k_dense` / `phi_dense_all` - the entire-function family
   phi_0(z) = exp(z), phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!)/z, evaluated for a
   full matrix argument as the top block row of exp(W), with
@@ -23,7 +25,13 @@ The local exponential method needs three flavors of exponential machinery:
   matrix [[H_m, e_1, 0], [0, J_k]] (`phi_hessenberg_e1`). That exponential
   and the stopping test run only every KRYLOV_CHECK_EVERY steps, at happy
   breakdown and at m_max, as in phipm (Niesen & Wright, TOMS 2012) and
-  KIOPS (Gaudreault, Rainwater & Tokman, JCP 2018).
+  KIOPS (Gaudreault, Rainwater & Tokman, JCP 2018). The one Arnoldi
+  worker, `_phi_action_krylov`, runs a zero-padded (G, L) stack of
+  independent members of a block-diagonal operator at once: one matvec
+  per step, stacked inner products, norms and Hessenberg matrices, and one
+  stacked exponential for all members at a checkpoint. A single vector is
+  the stack of one. `PhiEvaluator.krylov(a, dt, k, sizes)` serves the
+  subdomains of a local step that way.
 
 `iserles_bound` and `verify_decay` implement the rigorous super-exponential
 bound on the off-diagonal entries of exp(B) for banded B: with d = |i - j|,
@@ -141,35 +149,29 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     below eps^2 times the largest are set to zero. The scaling brings
     ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at most theta_13,
     where the approximant's backward error is at most the unit roundoff.
+    For k = 0, `a` may also be a (G, n, n) stack (`_expm_stack`); member i
+    of the result equals `expm_dense(a[i])` bitwise.
     Raises ValueError on a non-square or non-finite input and OverflowError
     on overflow.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm_dense expects a square matrix")
+    if a.ndim not in (2, 2 + (k == 0)) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expm_dense expects a square matrix "
+                         "(or, for k = 0, a stack of them)")
     if not 0 <= k <= 3:
         raise ValueError("phi order must be between 0 and 3")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("expm_dense: non-finite entries in input")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=a.dtype)
-
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    if k:
-        norm = max(norm, 1.0)
-    elif norm == 0.0:
-        return np.eye(n, dtype=np.result_type(a.dtype, np.float64))
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
-    scale = 2.0 ** squarings
+    n = a.shape[-1]
+    if a.size == 0:
+        return np.zeros(a.shape, dtype=a.dtype)
 
     if k == 0:
-        b = a / scale
-        u, v = _pade13(b, np.eye(n, dtype=b.dtype))
-        r = np.linalg.solve(v - u, v + u)
-        for _ in range(squarings):
-            r = r @ r
+        r = _expm_stack(a.reshape(-1, n, n)).reshape(a.shape)
     else:
+        norm = max(float(np.max(np.sum(np.abs(a), axis=0))), 1.0)
+        squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
+        scale = 2.0 ** squarings
         ident = np.zeros((n, (k + 1) * n), dtype=np.promote_types(a.dtype, np.float64))
         ident[:, :n] = np.eye(n)
         w = np.zeros_like(ident)  # top block row [A, I, 0, ...] of W
@@ -183,8 +185,36 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
             blk.f[mag < _DROP * mag.max()] = 0.0
             blk = blk @ blk
         r = blk.f
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise OverflowError("expm_dense: overflow during squaring phase")
+    return r
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of every member of a (G, n, n) stack, in one batched Pade 13.
+
+    Each member is scaled by its own 2^-s, with s the fewest squarings that
+    bring its 1-norm to at most theta_13, and squaring j runs only on the
+    members with s > j. Every product and solve is one BLAS or LAPACK call
+    per member with that member's operands alone, so a member's result
+    does not depend on the rest of the stack. Zero members give I exactly.
+    """
+    norms = np.abs(a).sum(axis=1).max(axis=1).tolist()
+    squarings = [max(0, math.ceil(math.log2(x / _THETA13))) if x else 0
+                 for x in norms]
+    b = a / np.array([2.0 ** s for s in squarings]).reshape(-1, 1, 1)
+    n = a.shape[-1]
+    u, v = _pade13(b, np.eye(n, dtype=b.dtype))
+    r = np.linalg.solve(v - u, v + u)
+    fewest = min(squarings)
+    for j in range(max(squarings)):
+        if j < fewest:
+            r = r @ r
+        else:
+            todo = np.array(squarings) > j
+            r[todo] = r[todo] @ r[todo]
+    if not all(norms):
+        r[np.array(norms) == 0] = np.eye(n)
     return r
 
 
@@ -201,12 +231,14 @@ def phi_k_dense(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _as_matvec(a):
+    """(matvec, size, complex?, Frobenius norm) of a square operator."""
     if isinstance(a, BandedSparseMatrix):
-        return a.matvec, a.n_rows, a.is_complex
+        return a.matvec, a.n_rows, a.is_complex, float(_norms(a.vals))
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("operator must be square")
-    return (lambda x: arr @ x), arr.shape[0], np.issubdtype(arr.dtype, np.complexfloating)
+    return ((lambda x: arr @ x), arr.shape[0],
+            np.issubdtype(arr.dtype, np.complexfloating), float(_norms(arr.reshape(-1))))
 
 
 def phi_hessenberg_e1(h: np.ndarray, k: int) -> np.ndarray:
@@ -216,15 +248,18 @@ def phi_hessenberg_e1(h: np.ndarray, k: int) -> np.ndarray:
     carries phi_j(H) e_1 in its column m + j - 1, so the first m entries of
     its last column are phi_k(H) e_1 (Sidje, Expokit, TOMS 1998). One
     column is all a Krylov step needs, and this exponential costs about
-    (m + k)^3 where `expm_dense(h, k)` costs (k + 1) m^3.
+    (m + k)^3 where `expm_dense(h, k)` costs (k + 1) m^3. `h` may be a
+    (G, m, m) stack, which takes one stacked exponential; member i of the
+    result equals `phi_hessenberg_e1(h[i], k)` bitwise.
     """
     h = np.asarray(h)
-    m = h.shape[0]
-    w = np.zeros((m + k, m + k), dtype=np.promote_types(h.dtype, np.float64))
-    w[:m, :m] = h
-    w[0, m] = 1.0
-    w[np.arange(m, m + k - 1), np.arange(m + 1, m + k)] = 1.0
-    return expm_dense(w)[:m, -1]
+    m = h.shape[-1]
+    w = np.zeros(h.shape[:-2] + (m + k, m + k),
+                 dtype=np.promote_types(h.dtype, np.float64))
+    w[..., :m, :m] = h
+    w[..., 0, m] = 1.0
+    w[..., np.arange(m, m + k - 1), np.arange(m + 1, m + k)] = 1.0
+    return expm_dense(w)[..., :m, -1]
 
 
 def phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
@@ -256,54 +291,115 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
                        tol: float = KRYLOV_TOL, m_max: int = KRYLOV_M_MAX):
     """phi_action_krylov worker: (result, Krylov dimension used, converged).
 
+    `v` is one vector, or a (G, L) stack of G members for a block-diagonal
+    `a` that acts on the flattened stack and keeps the members apart. A
+    member shorter than L is zero-padded, and `a` must keep its padding
+    zero, so every basis vector keeps zeros there. All members run one
+    Arnoldi process: one matvec per step, and per-member inner products,
+    norms and Hessenberg matrices as stacked matmuls. Every member keeps
+    the rules of phi_action_krylov (checkpoints, breakdown threshold,
+    m_max), and the tests of all members at a checkpoint take a single
+    stacked `phi_hessenberg_e1`. The members that stop at a step are taken
+    out of the stack, which is copied once then, so every step runs on
+    whole arrays. The per-member breakdown caps are taken from H only at
+    steps where some hnext is small enough for a breakdown to be possible.
+
+    For a stack, the dimensions and flags are (G,) arrays in member order.
     It never warns; hitting m_max without meeting the tolerance returns
     converged=False, and the caller decides how to report it.
     """
     if k not in (1, 2, 3):
         raise ValueError("phi_action_krylov supports k in {1, 2, 3}")
-    matvec, n, op_complex = _as_matvec(a)
+    matvec, n, op_complex, op_norm = _as_matvec(a)
     v = np.asarray(v)
-    if v.shape != (n,):
+    if v.ndim not in (1, 2) or v.size != n or (v.ndim == 1 and v.shape != (n,)):
         raise ValueError("vector length does not match operator size")
     dtype = np.complex128 if (op_complex or np.issubdtype(v.dtype, np.complexfloating)) else np.float64
+    x = v[None] if v.ndim == 1 else v
+    g_all, size = x.shape
+    result = np.zeros((g_all, size), dtype=dtype)
+    m_used = np.zeros(g_all, dtype=np.int64)
+    converged = np.ones(g_all, dtype=bool)
+    # every |entry| of H_m is at most ||dt A||_2 <= |dt| ||A||_F, up to
+    # rounding, so no member can break down while its hnext exceeds this
+    suspect = 1e-14 * max(1.0, 2.0 * abs(dt) * op_norm)
 
-    beta = float(np.linalg.norm(v))
-    if beta == 0.0:
-        return np.zeros(n, dtype=dtype), 0, True
-
-    vv = np.zeros((m_max + 1, n), dtype=dtype)
-    h = np.zeros((m_max + 1, m_max), dtype=dtype)
-    vv[0] = v / beta
-    h_max = 0.0  # running max |entry| of H_m, subdiagonal included
-    y = None
-    m_used = m_max
-    converged = False
+    beta = _norms(x)
+    vv = np.zeros((g_all, m_max + 1, size), dtype=dtype)
+    h = np.zeros((g_all, m_max + 1, m_max), dtype=dtype)
+    live = beta > 0
+    vv[:, 0] = x / np.where(live, beta, 1.0)[:, None]
+    ids = np.arange(g_all)  # member held by each slot of the stack
+    spread = None  # set once a member has stopped: the matvec input
+    keep = None if live.all() else live  # zero vectors stop at m = 0
     for m in range(1, m_max + 1):
-        w = dt * matvec(vv[m - 1])
-        basis = vv[:m]
+        if keep is not None:  # take the stopped members out of the stack
+            if not keep.any():
+                break
+            ids, vv, h, beta = ids[keep], vv[keep], h[keep], beta[keep]
+            keep = None
+            if spread is None:
+                spread = np.zeros((g_all, size), dtype=dtype)
+        if spread is None:
+            w = matvec(vv[:, m - 1].reshape(-1))
+        else:  # the operator still sees every member; stopped ones idle
+            spread[ids] = vv[:, m - 1]
+            w = matvec(spread.reshape(-1)).reshape(g_all, size)[ids]
+        w = dt * w.reshape(-1, size, 1)
+        basis = vv[:, :m]
+        basis_t = basis.transpose(0, 2, 1)
         # block classical Gram-Schmidt, two passes, coefficients conj(V) w
         c1 = (basis @ w.conj()).conj()
-        w = w - c1 @ basis
+        w -= basis_t @ c1
         c2 = (basis @ w.conj()).conj()
-        w = w - c2 @ basis
-        h[:m, m - 1] = c1 + c2
-        h_max = max(h_max, float(np.max(np.abs(h[:m, m - 1]))))
-        hnext = float(np.linalg.norm(w))
-        if hnext <= 1e-14 * max(1.0, h_max):
-            # happy breakdown: Krylov space is invariant, result exact
-            y = phi_hessenberg_e1(h[:m, :m], k)
-            m_used, converged = m, True
+        w -= basis_t @ c2
+        w = w[:, :, 0]
+        hnext = _norms(w)
+        h[:, :m, m - 1] = (c1 + c2)[:, :, 0]
+        h[:, m, m - 1] = hnext
+        # happy breakdown (the Krylov space is invariant, the result exact)
+        # when hnext <= 1e-14 max(1, max |entry of H_m|). Taking hnext into
+        # that max too leaves the outcome unchanged, as the max is >= 1.
+        broke = None
+        if float(hnext.min()) <= suspect:
+            cap = np.maximum(1.0, np.abs(h[:, :m + 1, :m]).max(axis=(1, 2)))
+            broke = hnext <= 1e-14 * cap
+            if not broke.any():
+                broke = None
+        np.divide(w, (hnext if broke is None else np.where(broke, 1.0, hnext))[:, None],
+                  out=vv[:, m])
+        checkpoint = m % KRYLOV_CHECK_EVERY == 0 or m == m_max
+        if not checkpoint and broke is None:
+            continue
+        test = slice(None) if checkpoint else broke  # the members tested now
+        y = phi_hessenberg_e1(h[test, :m, :m], k)
+        ok = beta[test] * hnext[test] * np.abs(y[:, m - 1]) <= tol * beta[test]
+        if broke is not None:
+            ok |= broke[test]
+        stop = ok if m < m_max else np.ones_like(ok)
+        count = np.count_nonzero(stop)
+        if not count:
+            continue
+        if count == ids.size:  # every member stops: all tested, all stop
+            sel = slice(None)
+        else:
+            sel = np.flatnonzero(stop) if checkpoint else np.flatnonzero(broke)[stop]
+            y, ok = y[stop], ok[stop]
+        result[ids[sel]] = beta[sel, None] * (y[:, None, :] @ vv[sel, :m])[:, 0]
+        m_used[ids[sel]] = m
+        converged[ids[sel]] = ok
+        if count == ids.size:
             break
-        h[m, m - 1] = hnext
-        h_max = max(h_max, hnext)
-        vv[m] = w / hnext
-        if m % KRYLOV_CHECK_EVERY == 0 or m == m_max:
-            y = phi_hessenberg_e1(h[:m, :m], k)
-            if beta * hnext * abs(y[m - 1]) <= tol * beta:
-                m_used, converged = m, True
-                break
-    result = beta * (vv[:m_used].T @ y)
+        keep = np.ones(ids.size, dtype=bool)
+        keep[sel] = False
+    if v.ndim == 1:
+        return result[0], int(m_used[0]), bool(converged[0])
     return result, m_used, converged
+
+
+def _norms(w: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of a (G, L) stack, one BLAS dot product each."""
+    return np.sqrt(np.vecdot(w, w).real)
 
 
 @dataclass
@@ -313,10 +409,11 @@ class PhiEvaluator:
     DenseStored mode precomputes phi_1..phi_{order_max}(dt A) once and applies
     them by matrix-vector products. `stacked` joins the stored matrices of
     several equal-size operators along a leading batch axis, so one `apply`
-    serves all of them. KrylovAction mode runs an Arnoldi iteration per
-    application of one vector at KRYLOV_TOL, recording its dimension in
-    `krylov_dims` and counting applications that hit KRYLOV_M_MAX
-    unconverged in `krylov_misses`.
+    serves all of them. KrylovAction mode runs one Arnoldi process per
+    application at KRYLOV_TOL; with `sizes`, A is block diagonal with blocks
+    of those sizes, and every block is one member of that process. The
+    dimension of every member is appended to `krylov_dims`, and members that
+    hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
     Both evaluate the same mathematical object.
     """
 
@@ -325,6 +422,7 @@ class PhiEvaluator:
     order_max: int
     _op: object = field(repr=False, default=None)
     _cached: list = field(repr=False, default=None)
+    _members: tuple = field(repr=False, default=None)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
@@ -335,8 +433,23 @@ class PhiEvaluator:
         return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=phis)
 
     @classmethod
-    def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
-        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
+    def krylov(cls, a, dt: float, order_max: int, sizes=None) -> "PhiEvaluator":
+        """Krylov evaluator of one operator, or of a block-diagonal one
+        whose blocks have the given sizes. Blocks shorter than the largest
+        are zero-padded: `_members` is (G, L, positions of the concatenated
+        vector in the padded (G, L) stack, or None if no block is short)."""
+        if sizes is None:
+            sizes = [_as_matvec(a)[1]]
+        sizes = np.asarray(sizes, dtype=np.int64)
+        g, size = sizes.size, int(sizes.max())
+        pos = None
+        if np.any(sizes != size):
+            # increasing positions keep each row's entries in their order
+            starts = np.cumsum(sizes) - sizes
+            pos = np.arange(sizes.sum()) + np.repeat(np.arange(g) * size - starts, sizes)
+            a = BandedSparseMatrix(g * size, g * size, pos[a.rows], pos[a.cols], a.vals)
+        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a,
+                   _members=(g, size, pos))
 
     @classmethod
     def stacked(cls, members: list) -> "PhiEvaluator":
@@ -350,15 +463,23 @@ class PhiEvaluator:
 
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
         """phi_k(dt A) vec. DenseStored: `vec` of shape (..., m), batched
-        against a stack of phi_k; KrylovAction: one vector of length m."""
+        against a stack of phi_k; KrylovAction: one vector, the blocks'
+        vectors concatenated if the evaluator has `sizes`."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
             return (self._cached[k] @ vec[..., None])[..., 0]
-        result, m_used, converged = _phi_action_krylov(self._op, self.dt, vec, k)
-        self.krylov_dims.append(m_used)
-        self.krylov_misses += not converged
-        return result
+        g, size, pos = self._members
+        if pos is not None:
+            padded = np.zeros(g * size, dtype=vec.dtype)
+            padded[pos] = vec
+            vec = padded
+        result, m_used, converged = _phi_action_krylov(
+            self._op, self.dt, vec.reshape(g, size), k)
+        self.krylov_dims.extend(m_used.tolist())
+        self.krylov_misses += int(np.count_nonzero(~converged))
+        result = result.reshape(-1)
+        return result if pos is None else result[pos]
 
 
 def iserles_bound(rho: float, s: int, d: int) -> float:

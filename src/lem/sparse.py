@@ -159,7 +159,7 @@ class BandedSparseMatrix:
             raise ValueError(
                 f"matvec dimension mismatch: matrix is {self.shape}, vector has shape {x.shape}"
             )
-        return self._csr.dot(x)
+        return self._csr @ x
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()

@@ -5,9 +5,10 @@ subdomains at once on data frozen at t_n and gathers the interiors: the
 local states are one flat vector, the residual is two sparse matvecs (the
 block-diagonal local operators and the stacked exterior couplings), each
 run of consecutive equal-size subdomains takes one batched phi product
-(Krylov subdomains one Arnoldi action each), and one scatter keeps the
-interiors. `run_global` runs exponential methods through it on the
-one-subdomain partition, so both share one step formula.
+(with Krylov phi, all subdomains are members of one Arnoldi process on
+the block-diagonal operator), and one scatter keeps the interiors.
+`run_global` runs exponential methods through it on the one-subdomain
+partition, so both share one step formula.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -21,9 +22,9 @@ with the Rosenbrock-Euler formula u + dt*phi_1(dt J)F(u), and with
 ``jacobian_refresh_every=1`` both methods are the standard schemes of
 orders 2 and 3.
 
-Krylov applications that reach m_max unconverged are counted per run and
-reported as one `RunReport.warnings` entry; the drivers install no
-warning filters.
+Krylov applications that reach m_max unconverged are counted per
+subdomain and run, and reported as one `RunReport.warnings` entry; the
+drivers install no warning filters.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 _EXP_METHODS = ("ExpEuler", "ExpRB2", "ExpRB3")
-_CLASSICAL_METHODS = ("RK2", "RK3", "RK4", "CrankNicolson")
+_CLASSICAL_METHODS = ("RK4", "CrankNicolson")
 _ALL_METHODS = _EXP_METHODS + _CLASSICAL_METHODS
 _PHI_MODES = ("DenseStored", "KrylovAction")
 
@@ -108,11 +109,13 @@ class _StackedStep:
     acting on it and `halo` the stacked exterior couplings [H_1; ...; H_D]
     acting on the global state, both built from each subdomain's own
     `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
-    A_i v_i + H_i u bitwise. A run is a maximal sequence of consecutive
-    DenseStored subdomains of equal size, and shares one stacked evaluator;
-    a run of one, and every Krylov subdomain, keeps its own. The runs tile
-    the flat vector in partition order. A `runs` entry is (slice of the
-    flat vector, shape of the evaluator's input, evaluator).
+    A_i v_i + H_i u bitwise. With DenseStored phi, a run is a maximal
+    sequence of consecutive subdomains of equal size, and shares one
+    stacked evaluator; a run of one keeps its own. The runs tile the flat
+    vector in partition order. With KrylovAction phi there is one run: the
+    whole flat vector, whose Krylov evaluator of `a_sum` runs every
+    subdomain as one member of a single Arnoldi process. A `runs` entry is
+    (slice of the flat vector, shape of the evaluator's input, evaluator).
     """
 
     __slots__ = ("system", "part", "dt", "method", "a_sum", "halo", "g_shift",
@@ -127,28 +130,24 @@ class _StackedStep:
             jac = system.jacobian(u)
             g_shift = system.rhs(u, t_n) - jac.matvec(u)
         order_max = 3 if cfg.method == "ExpRB3" else 1
-        krylov = cfg.phi_mode == "KrylovAction"
-        a_locs, halos, phis = [], [], []
-        for m_i in part.locals:
-            a_loc = jac.restrict(m_i, m_i)
-            a_locs.append(a_loc)
-            halos.append(jac.halo(m_i, m_i))
-            if krylov:
-                phis.append(PhiEvaluator.krylov(a_loc, cfg.dt, order_max))
-            else:
-                phis.append(PhiEvaluator.dense(a_loc, cfg.dt, order_max))
+        a_locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
         self.system, self.part = system, part
         self.dt, self.method = cfg.dt, cfg.method
         self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
-        self.halo = BandedSparseMatrix.vstack(halos)
+        self.halo = BandedSparseMatrix.vstack(
+            [jac.halo(m_i, m_i) for m_i in part.locals])
         self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
 
-        # runs of consecutive equal-size dense subdomains; a Krylov
-        # subdomain is a run of one
         off = part.offsets
+        if cfg.phi_mode == "KrylovAction":
+            n_flat = part.dof_updates_per_step
+            self.runs = [(slice(0, n_flat), (n_flat,), PhiEvaluator.krylov(
+                self.a_sum, cfg.dt, order_max, sizes=np.diff(off)))]
+            return
+        # runs of consecutive equal-size subdomains
+        phis = [PhiEvaluator.dense(a_loc, cfg.dt, order_max) for a_loc in a_locs]
         self.runs = []
-        for _, ids in groupby(range(part.D), key=lambda i: i if krylov
-                              else len(part.locals[i])):
+        for _, ids in groupby(range(part.D), key=lambda i: len(part.locals[i])):
             ids = list(ids)
             lo, hi = ids[0], ids[-1] + 1
             sel, size = slice(off[lo], off[hi]), len(part.locals[lo])
@@ -259,17 +258,8 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
 # global (single-domain) runs, classical comparison methods
 
 
-def _rk_tableau_step(system, u, t, dt, method):
+def _rk4_step(system, u, t, dt):
     f = system.rhs
-    if method == "RK2":  # Heun
-        k1 = f(u, t)
-        k2 = f(u + dt * k1, t + dt)
-        return u + dt / 2 * (k1 + k2)
-    if method == "RK3":  # Kutta's third-order rule
-        k1 = f(u, t)
-        k2 = f(u + dt / 2 * k1, t + dt / 2)
-        k3 = f(u - dt * k1 + 2 * dt * k2, t + dt)
-        return u + dt / 6 * (k1 + 4 * k2 + k3)
     k1 = f(u, t)
     k2 = f(u + dt / 2 * k1, t + dt / 2)
     k3 = f(u + dt / 2 * k2, t + dt / 2)
@@ -327,7 +317,7 @@ def _run_classical(system: SemiDiscreteSystem, cfg: StepperConfig) -> RunReport:
                     worst_resid = max(worst_resid, resid_inf)
                 u = v
         else:
-            u = _rk_tableau_step(system, u, t_n, cfg.dt, cfg.method)
+            u = _rk4_step(system, u, t_n, cfg.dt)
         if trajectory is not None:
             trajectory.append(u.copy())
     wall = time.perf_counter() - t_start

@@ -342,6 +342,19 @@ class TestSweepAndCsv:
         assert report.warnings and "run failed" in report.warnings[0]
         assert math.isnan(report.err_l2_rel)
 
+    def test_unresolvable_row_recorded_not_raised(self):
+        # porous1d has no wave speed, so a C= row gives no time step; a
+        # case built in code bypasses parse_config's check of that
+        case = BenchCase(
+            name="porous1d", params=dict(n=40, L=10.0, m=3.0, amp=1.0, t0=1.0),
+            t_end=0.1, oracle="BarenblattExact", methods=["ExpRB2"],
+            d_values=[1, 2], rows=[{"C": 1.0, "B": 0}])
+        reports = run_sweep(case, timing=False)
+        assert [r.D for r in reports] == [1, 2]
+        for r in reports:
+            assert r.warnings[0].startswith("run failed: case has no wave speed")
+            assert math.isnan(r.dt) and math.isnan(r.err_l2_rel)
+
     def test_csv_round_trip_exact(self, tmp_path):
         (case,) = parse_build(CHEAP)
         reports = run_sweep(case, timing=False)

@@ -92,6 +92,29 @@ def test_run_rejects_bad_workers(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("env,warned", [
+    ({}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "1"}, False),
+], ids=["unset", "two", "openblas", "omp"])
+def test_run_warns_about_blas_threads(tmp_path, capsys, monkeypatch, env, warned):
+    # parallel cells each on every BLAS thread oversubscribe the cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text(CHEAP)
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "r.csv"),
+               "--workers", "2", "--no-timing"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert ("warning: --workers 2" in err) == warned
+    if warned:
+        assert "OPENBLAS_NUM_THREADS=1" in err
+
+
 def test_decay_profile(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     rc = main(["decay", "advdiff1d", "--courant", "4", "--out", str(out)])

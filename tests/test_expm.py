@@ -342,6 +342,126 @@ class TestKrylovKernel:
         assert m_used % KRYLOV_CHECK_EVERY == 0 or m_used in (r, m_max)
 
 
+# member scales: zero, below theta_13 (no squaring), and three different
+# squaring counts for matrices of 1-norm about 1
+STACK_SCALES = (0.0, 1e-3, 2.0, 40.0, 300.0)
+
+
+@st.composite
+def matrix_stacks(draw, hessenberg=False):
+    """A (G, n, n) stack whose members have their own squaring counts."""
+    g = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((g, n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((g, n, n))
+    a /= np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+    scales = draw(st.lists(st.sampled_from(STACK_SCALES) | st.floats(0.0, 300.0),
+                           min_size=g, max_size=g))
+    a *= np.array(scales)[:, None, None]
+    return np.triu(a, -1) if hessenberg else a
+
+
+class TestStackedExponential:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_stacks())
+    def test_stack_member_is_single_call_bitwise(self, stack):
+        got = expm_dense(stack)
+        assert got.shape == stack.shape
+        for member, a in zip(got, stack):
+            assert np.array_equal(member, expm_dense(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_stacks(hessenberg=True), st.integers(1, 3))
+    def test_hessenberg_stack_member_is_single_call_bitwise(self, stack, k):
+        got = phi_hessenberg_e1(stack, k)
+        assert got.shape == stack.shape[:2]
+        for member, h in zip(got, stack):
+            assert np.array_equal(member, phi_hessenberg_e1(h, k))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_every_kind_of_member_in_one_stack(self, complex_):
+        # zero, below theta_13 and three squaring counts, side by side
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 9, 9)) + (1j * rng.standard_normal((5, 9, 9))
+                                              if complex_ else 0)
+        a /= np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+        a *= np.array(STACK_SCALES)[:, None, None]
+        got = expm_dense(a)
+        assert np.array_equal(got[0], np.eye(9))
+        for member, m in zip(got, a):
+            assert np.array_equal(member, expm_dense(m))
+            ref = scipy.linalg.expm(m)
+            assert np.linalg.norm(member - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_stack_is_k0_only(self):
+        with pytest.raises(ValueError):
+            expm_dense(np.zeros((2, 3, 3)), 1)
+
+
+class TestBatchedKrylov:
+    """One Arnoldi process over ragged members against G = 1 runs."""
+
+    SIZES = (30, 40, 25, 40, 33)
+
+    def members(self, complex_):
+        # an ordinary member, a zero vector, a happy breakdown (v on an
+        # invariant block of size 6), an m_max miss, and another ordinary
+        rng = np.random.default_rng(17)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+        blocks, vecs = [], []
+        for i, size in enumerate(self.SIZES):
+            dense = random_banded(size, 2, rng, scale=(0.3, 1.0, 1.0, 25.0, 0.5)[i])
+            if complex_:
+                dense = dense + 1j * random_banded(size, 1, rng, scale=0.2)
+            v = draw(size)
+            if i == 1:
+                v = np.zeros(size, dtype=v.dtype)
+            if i == 2:
+                dense[:6, 6:] = dense[6:, :6] = 0.0
+                v[6:] = 0.0
+            blocks.append(BandedSparseMatrix.from_dense(dense))
+            vecs.append(v)
+        return blocks, vecs
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_members_match_single_runs(self, complex_):
+        blocks, vecs = self.members(complex_)
+        sizes = np.array(self.SIZES)
+        g, size = len(sizes), int(sizes.max())
+        ev = PhiEvaluator.krylov(BandedSparseMatrix.vstack(blocks, diagonal=True),
+                                 0.2, order_max=1, sizes=sizes)
+        stack = np.zeros((g, size), dtype=vecs[0].dtype)
+        for i, v in enumerate(vecs):
+            stack[i, :v.size] = v
+        got, m_used, converged = _phi_action_krylov(ev._op, 0.2, stack, 1,
+                                                    tol=1e-12, m_max=14)
+        singles = [_phi_action_krylov(b, 0.2, v, 1, tol=1e-12, m_max=14)
+                   for b, v in zip(blocks, vecs)]
+        assert [(m, c) for _, m, c in singles] == list(zip(m_used, converged))
+        assert [m for _, m, _ in singles][1:4] == [0, 6, 14]
+        assert list(converged) == [True, True, True, False, True]
+        for i, (want, _, _) in enumerate(singles):
+            scale = max(np.linalg.norm(want), 1e-300)
+            assert np.linalg.norm(got[i, :want.size] - want) <= 1e-12 * scale
+            assert not np.any(got[i, want.size:])  # padding stays zero
+
+        # the evaluator maps the concatenated vector through the padding
+        flat = ev.apply(1, np.concatenate(vecs))
+        off = np.cumsum((0,) + self.SIZES)
+        for i, v in enumerate(vecs):
+            want, m, _ = _phi_action_krylov(blocks[i], 0.2, v, 1)
+            scale = max(np.linalg.norm(want), 1e-300)
+            assert np.linalg.norm(flat[off[i]:off[i + 1]] - want) <= 1e-12 * scale
+            assert ev.krylov_dims[i] == m
+
+
 def augmented_action(a, dt, v, k):
     """phi_k(dt A) v as exp of the (n + k)-sized augmented sparse matrix."""
     n = a.n_rows

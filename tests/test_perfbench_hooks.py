@@ -26,6 +26,20 @@ D = 1, 2
 rows = dt=0.01 B=8
 """
 
+# Krylov phi actions: one batched Arnoldi process per application, whose
+# evaluator logs one dimension per subdomain
+KRYLOV = """\
+[porous-krylov]
+case = porous1d
+n = 64
+L = 10
+T = 0.1
+methods = ExpRB2
+phi_mode = KrylovAction
+D = 1, 2
+rows = dt=0.01 B=8
+"""
+
 
 def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
@@ -45,3 +59,19 @@ def test_every_entry_point_records_calls(tmp_path):
     assert all(r.warnings == [] for r in reports)
     silent = [name for name in spans.ENTRY_POINTS if tracer.calls(name) == 0]
     assert silent == []
+
+
+def test_krylov_apply_hook_reads_batched_evaluator(tmp_path):
+    spans = load_spans()
+    path = tmp_path / "krylov.ini"
+    path.write_text(KRYLOV)
+    (case,) = parse_config(str(path))
+    with spans.instrumented(spans.Tracer()) as tracer:
+        reports = run_sweep(case, workers=1, timing=True)
+    assert [r.D for r in reports] == [1, 2]
+    assert all(r.warnings == [] for r in reports)
+    applies = tracer.calls("PhiEvaluator.apply")
+    assert applies == 2 * 10  # one per step and cell
+    # the hook samples the last member's dimension of every application
+    assert len(tracer.krylov_dims) == applies
+    assert all(d > 0 for d in tracer.krylov_dims)

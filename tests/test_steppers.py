@@ -244,10 +244,6 @@ class TestOrders:
         t_end = 0.4
         u_ref = brute_rk4(system, t_end)
         dts = (0.1, 0.05, 0.025)
-        assert observed_order(system, "RK2", dts, t_end, u_ref) == \
-            pytest.approx(2.0, abs=0.3)
-        assert observed_order(system, "RK3", dts, t_end, u_ref) == \
-            pytest.approx(3.0, abs=0.3)
         assert observed_order(system, "RK4", dts, t_end, u_ref) == \
             pytest.approx(4.0, abs=0.3)
         assert observed_order(system, "CrankNicolson", dts, t_end, u_ref) == \
@@ -471,13 +467,14 @@ def stepping_cases(draw):
 class TestStackedStep:
     @staticmethod
     def recording_krylov():
-        """Patch the Krylov worker to log (dimension, converged) per call."""
+        """Patch the Krylov worker to log (dimension, converged) per member."""
         log = []
         worker = lem.expm._phi_action_krylov
 
         def logged(*args, **kwargs):
             result, m_used, converged = worker(*args, **kwargs)
-            log.append((m_used, converged))
+            log.extend(zip(np.atleast_1d(m_used).tolist(),
+                           np.atleast_1d(converged).tolist()))
             return result, m_used, converged
         return log, mock.patch.object(lem.expm, "_phi_action_krylov", logged)
 
@@ -495,10 +492,21 @@ class TestStackedStep:
         assert np.max(np.abs(rep.final_state - u_ref)) <= 1e-12 * scale
         assert sorted(log) == ref_log
 
-        # the runs are slices that tile the flat vector in partition order;
-        # each is a maximal sequence of consecutive equal-size subdomains,
-        # and a Krylov one has a single member
         step = _StackedStep(system, part, system.initial, 0.0, cfg)
+        if cfg.phi_mode == "KrylovAction":
+            # one run over the whole flat vector, one Arnoldi member per
+            # subdomain, one logged dimension per member and application
+            (sel, shape, phi), = step.runs
+            n_flat = part.dof_updates_per_step
+            assert (sel.start, sel.stop, shape) == (0, n_flat, (n_flat,))
+            log.clear()
+            with patch:
+                step.phi(1, np.ones(n_flat))
+            assert len(log) == len(phi.krylov_dims) == part.D
+            return
+
+        # the runs are slices that tile the flat vector in partition order;
+        # each is a maximal sequence of consecutive equal-size subdomains
         off = list(part.offsets)
         sizes = [len(m_i) for m_i in part.locals]
         stop, first, run_sizes = 0, 0, []
@@ -507,13 +515,10 @@ class TestStackedStep:
             count = shape[0] if len(shape) == 2 else 1
             assert off[first] == sel.start and off[first + count] == sel.stop
             assert sizes[first:first + count] == [shape[-1]] * count
-            if cfg.phi_mode == "KrylovAction":
-                assert count == 1
             stop, first = sel.stop, first + count
             run_sizes.append(shape[-1])
         assert stop == part.dof_updates_per_step and first == part.D
-        if cfg.phi_mode == "DenseStored":
-            assert all(a != b for a, b in zip(run_sizes, run_sizes[1:]))
+        assert all(a != b for a, b in zip(run_sizes, run_sizes[1:]))
 
     @settings(max_examples=30, deadline=None)
     @given(stepping_cases())
