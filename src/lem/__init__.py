@@ -29,7 +29,6 @@ from lem.models import (
     build_burgers_1d,
     build_porous_1d,
     build_advdiff_2d,
-    build_burgers_2d,
     exact_advdiff_fourier,
     exact_barenblatt,
     exact_square_wave,
@@ -81,7 +80,6 @@ __all__ = [
     "build_burgers_1d",
     "build_porous_1d",
     "build_advdiff_2d",
-    "build_burgers_2d",
     "exact_advdiff_fourier",
     "exact_barenblatt",
     "exact_square_wave",

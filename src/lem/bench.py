@@ -115,16 +115,6 @@ _CASES: Dict[str, dict] = {
         allowed=("AdaptiveReference",),
         methods=("ExpRB2",),
     ),
-    "burgers2d": dict(
-        params=dict(nx=32, ny=64, lx=10.0, ly=5.0, nu=0.05, anisotropy=4.0,
-                    sigma=None),
-        build=lambda p: models.build_burgers_2d(
-            int(p["nx"]), int(p["ny"]), p["lx"], p["ly"], p["nu"],
-            p["anisotropy"], sigma=p["sigma"]),
-        T=1.0, oracle="AdaptiveReference",
-        allowed=("AdaptiveReference",),
-        methods=("ExpRB2",),
-    ),
 }
 
 # model parameters that must be positive: lengths and the pulse width;
@@ -314,6 +304,10 @@ def parse_config(path: str) -> List[BenchCase]:
         if not d_values or min(d_values) < 1:
             _fail(path, text, section, "D",
                   f"subdomain counts must be at least 1, got {sec.get('D')!r}")
+        if max(d_values) > system.mesh.n[0]:
+            _fail(path, text, section, "D",
+                  f"cannot split {system.mesh.n[0]} mesh rows into "
+                  f"{max(d_values)} subdomains")
 
         rows = []
         for k, item in enumerate(sec.get("rows", "").split(";")):

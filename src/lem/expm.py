@@ -30,8 +30,8 @@ The local exponential method needs three flavors of exponential machinery:
   independent members of a block-diagonal operator at once: one matvec
   per step, stacked inner products, norms and Hessenberg matrices, and one
   stacked exponential for all members at a checkpoint. A single vector is
-  the stack of one. `PhiEvaluator.krylov(a, dt, k, sizes)` serves the
-  subdomains of a local step that way.
+  the stack of one. `PhiEvaluator.krylov` serves the zero-padded stack of
+  a local step's subdomains that way.
 
 `iserles_bound` and `verify_decay` implement the rigorous super-exponential
 bound on the off-diagonal entries of exp(B) for banded B: with d = |i - j|,
@@ -200,7 +200,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     does not depend on the rest of the stack. Zero members give I exactly.
     """
     norms = np.abs(a).sum(axis=1).max(axis=1).tolist()
-    squarings = [max(0, math.ceil(math.log2(x / _THETA13))) if x else 0
+    squarings = [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
                  for x in norms]
     b = a / np.array([2.0 ** s for s in squarings]).reshape(-1, 1, 1)
     n = a.shape[-1]
@@ -408,13 +408,14 @@ class PhiEvaluator:
 
     DenseStored mode precomputes phi_1..phi_{order_max}(dt A) once and applies
     them by matrix-vector products. `stacked` joins the stored matrices of
-    several equal-size operators along a leading batch axis, so one `apply`
-    serves all of them. KrylovAction mode runs one Arnoldi process per
-    application at KRYLOV_TOL; with `sizes`, A is block diagonal with blocks
-    of those sizes, and every block is one member of that process. The
-    dimension of every member is appended to `krylov_dims`, and members that
-    hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
-    Both evaluate the same mathematical object.
+    several operators along a leading batch axis, each zero-padded to the
+    largest size L, so one `apply` serves all of them on a (G, L) stack.
+    KrylovAction mode runs one Arnoldi process per application at
+    KRYLOV_TOL. Given a (G, L) stack, A must be block diagonal with G
+    blocks of size L that act on the flattened stack, and every block is
+    one member of that process. The dimension of every member is appended
+    to `krylov_dims`, and members that hit KRYLOV_M_MAX unconverged are
+    counted in `krylov_misses`. Both evaluate the same mathematical object.
     """
 
     mode: str
@@ -422,7 +423,6 @@ class PhiEvaluator:
     order_max: int
     _op: object = field(repr=False, default=None)
     _cached: list = field(repr=False, default=None)
-    _members: tuple = field(repr=False, default=None)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
@@ -433,53 +433,42 @@ class PhiEvaluator:
         return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=phis)
 
     @classmethod
-    def krylov(cls, a, dt: float, order_max: int, sizes=None) -> "PhiEvaluator":
-        """Krylov evaluator of one operator, or of a block-diagonal one
-        whose blocks have the given sizes. Blocks shorter than the largest
-        are zero-padded: `_members` is (G, L, positions of the concatenated
-        vector in the padded (G, L) stack, or None if no block is short)."""
-        if sizes is None:
-            sizes = [_as_matvec(a)[1]]
-        sizes = np.asarray(sizes, dtype=np.int64)
-        g, size = sizes.size, int(sizes.max())
-        pos = None
-        if np.any(sizes != size):
-            # increasing positions keep each row's entries in their order
-            starts = np.cumsum(sizes) - sizes
-            pos = np.arange(sizes.sum()) + np.repeat(np.arange(g) * size - starts, sizes)
-            a = BandedSparseMatrix(g * size, g * size, pos[a.rows], pos[a.cols], a.vals)
-        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a,
-                   _members=(g, size, pos))
+    def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
+        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
 
     @classmethod
     def stacked(cls, members: list) -> "PhiEvaluator":
-        """One DenseStored evaluator for equal-size DenseStored `members`,
-        whose phi_k is the (G, m, m) stack of the members' phi_k."""
+        """One DenseStored evaluator for DenseStored `members`, whose phi_k
+        is the (G, L, L) stack of the members' phi_k zero-padded to the
+        largest size L. A single member is viewed, not copied."""
         first = members[0]
-        cached = [None] + [np.stack([e._cached[k] for e in members])
-                           for k in range(1, first.order_max + 1)]
+        cached = [None]
+        for k in range(1, first.order_max + 1):
+            mats = [e._cached[k] for e in members]
+            if len(mats) == 1:
+                cached.append(mats[0][None])
+                continue
+            width = max(len(m) for m in mats)
+            stack = np.zeros((len(mats), width, width), dtype=np.result_type(*mats))
+            for row, m in zip(stack, mats):
+                row[:len(m), :len(m)] = m
+            cached.append(stack)
         return cls(mode="DenseStored", dt=first.dt, order_max=first.order_max,
                    _cached=cached)
 
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
-        """phi_k(dt A) vec. DenseStored: `vec` of shape (..., m), batched
-        against a stack of phi_k; KrylovAction: one vector, the blocks'
-        vectors concatenated if the evaluator has `sizes`."""
+        """phi_k(dt A) vec, `vec` of shape (..., L). DenseStored: batched
+        against a stack of phi_k; KrylovAction: one vector, or a (G, L)
+        stack of the members of a block-diagonal operator."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
             return (self._cached[k] @ vec[..., None])[..., 0]
-        g, size, pos = self._members
-        if pos is not None:
-            padded = np.zeros(g * size, dtype=vec.dtype)
-            padded[pos] = vec
-            vec = padded
         result, m_used, converged = _phi_action_krylov(
-            self._op, self.dt, vec.reshape(g, size), k)
+            self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
         self.krylov_dims.extend(m_used.tolist())
         self.krylov_misses += int(np.count_nonzero(~converged))
-        result = result.reshape(-1)
-        return result if pos is None else result[pos]
+        return result.reshape(vec.shape)
 
 
 def iserles_bound(rho: float, s: int, d: int) -> float:

@@ -7,11 +7,11 @@ diagnostics, and an exact or reference solution where one is available.
 Two kernels are shared by every model. :func:`_stencil` assembles each
 matrix from (axis, offset, per-node values) terms. The limited-flux kernel
 (:func:`_pad`, :func:`_states`, :func:`_llf` and :func:`_flux_terms`) works
-on axis 0 of an array with two periodic ghost layers at each end, so it
-serves a 1D model directly and each axis of a 2D model through a
-transposed view. 2D nodes are flattened x-major: node (ix, iy) is
-``ix*ny + iy``. No operator reaches further than two nodes along an axis:
-the stencil radius is 2, the ghost layers of :func:`_pad`.
+on a periodic 1D array with two ghost nodes at each end, and serves the
+finite-volume advection and Burgers models. 2D nodes are flattened
+x-major: node (ix, iy) is ``ix*ny + iy``. No operator reaches further than
+two nodes along an axis: the stencil radius is 2, the ghost layers of
+:func:`_pad`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "build_burgers_1d",
     "build_porous_1d",
     "build_advdiff_2d",
-    "build_burgers_2d",
     "exact_advdiff_fourier",
     "exact_barenblatt",
     "exact_square_wave",
@@ -274,15 +273,14 @@ def _llf_partials(ul: np.ndarray, ur: np.ndarray):
             0.5 * ur - 0.5 * a - 0.5 * jump * da_dur)
 
 
-def _flux_terms(w: np.ndarray, h: float, dfl, dfr=None, axis: int = 0) -> list:
+def _flux_terms(w: np.ndarray, h: float, dfl, dfr=None) -> list:
     """:func:`_stencil` terms of -(F_{j+1/2} - F_{j-1/2})/h on the padded w.
 
     F is a flux of the :func:`_states` of w, given by its partials ``dfl``
     = dF/du_l and ``dfr`` = dF/du_r at the interfaces j+1/2, j = 0..n-1
     (``dfr`` None: F does not depend on u_r). u_l at j+1/2 has weights on
     nodes (j-1, j, j+1) and u_r on (j, j+1, j+2); each weight enters row j
-    with -dF/h, then row j+1 with +dF/h. The kernel runs along axis 0 of w;
-    the terms are returned for mesh axis ``axis``.
+    with -dF/h, then row j+1 with +dF/h.
     """
     d = w[1:] - w[:-1]
     use_dl, use_dr = _minmod_branch(d[:-1], d[1:])   # nodes -1..n
@@ -296,29 +294,25 @@ def _flux_terms(w: np.ndarray, h: float, dfl, dfr=None, axis: int = 0) -> list:
                   (2, dfr, -hr[2:])]
     terms = []
     for off, df, weight in parts:
-        q = np.moveaxis(df * weight / h, 0, axis)
-        terms += [(axis, off, -q), (axis, off - 1, np.roll(q, 1, axis))]
+        q = df * weight / h
+        terms += [(0, off, -q), (0, off - 1, np.roll(q, 1))]
     return terms
 
 
 def _burgers_axis(w: np.ndarray, h: float, nu: float) -> np.ndarray:
-    """Burgers rhs along axis 0 of the padded w.
-
-    Limited LLF convection plus centered diffusion; a 2D model adds one
-    call per axis.
-    """
+    """Burgers rhs on the padded w: limited LLF convection plus centered
+    diffusion."""
     flux = _llf(*_states(w))
     conv = -(flux[1:] - flux[:-1]) / h
     return conv + nu * (w[3:-1] - 2 * w[2:-2] + w[1:-3]) / h**2
 
 
-def _burgers_axis_terms(f: np.ndarray, h: float, nu: float,
-                        axis: int = 0) -> list:
+def _burgers_axis_terms(f: np.ndarray, h: float, nu: float) -> list:
     """:func:`_stencil` terms of the Jacobian of ``_burgers_axis(_pad(f))``."""
     w = _pad(f)
     ul, ur = _states(w)
-    return _flux_terms(w, h, *_llf_partials(ul[1:], ur[1:]), axis=axis) + [
-        (axis, -1, nu / h**2), (axis, 0, -2 * nu / h**2), (axis, 1, nu / h**2)]
+    return _flux_terms(w, h, *_llf_partials(ul[1:], ur[1:])) + [
+        (0, -1, nu / h**2), (0, 0, -2 * nu / h**2), (0, 1, nu / h**2)]
 
 
 # ---------------------------------------------------------------------------
@@ -597,56 +591,6 @@ def build_advdiff_2d(nx: int, ny: int, lx: float, ly: float,
 
     return _linear_system("advdiff2d", mesh, a, initial, speed, nu,
                           {"omega": omega, "nu": nu, "sigma": sigma})
-
-
-def build_burgers_2d(nx: int, ny: int, lx: float, ly: float,
-                     nu: float = 0.05, anisotropy: float = 1.0,
-                     sigma: Optional[float] = None) -> SemiDiscreteSystem:
-    """Two dimensional Burgers equation on an anisotropic periodic mesh.
-
-    c_t + (c^2/2)_x + (c^2/2)_y = nu lap(c) with the 1D monotonized flux
-    machinery applied per axis. ``anisotropy`` = dx/dy must match the mesh
-    spacings implied by (lx, ly, nx, ny); vertical Courant numbers exceed
-    horizontal ones by that factor for equal velocities.
-    """
-    if nu < 0:
-        raise ValueError("diffusivity must be nonnegative")
-    if anisotropy < 1:
-        raise ValueError("anisotropy must be >= 1 (dy is the fine spacing)")
-    mesh = Mesh.grid(nx, ny, lx, ly, boundary="periodic")
-    dx, dy = mesh.dx
-    if not math.isclose(dy, dx / anisotropy, rel_tol=1e-9):
-        raise ValueError(
-            f"mesh spacings dx={dx}, dy={dy} inconsistent with anisotropy "
-            f"{anisotropy} (need dy = dx/anisotropy)")
-
-    if sigma is None:
-        sigma = min(lx, ly) / 10.0
-    x, y = mesh.coords(0), mesh.coords(1)
-    initial = np.outer(_gaussian(x, lx / 2, sigma),
-                       _gaussian(y, ly / 2, sigma)).reshape(-1)
-
-    # the y axis runs through the axis-0 kernels on the transposed field
-    def rhs(u, t=0.0):
-        f = u.reshape(nx, ny)
-        out = _burgers_axis(_pad(f), dx, nu) + _burgers_axis(_pad(f.T), dy, nu).T
-        return out.reshape(-1)
-
-    def jacobian(u):
-        f = u.reshape(nx, ny)
-        return _stencil(mesh, _burgers_axis_terms(f, dx, nu)
-                        + _burgers_axis_terms(f.T, dy, nu, axis=1))
-
-    return SemiDiscreteSystem(
-        kind="burgers2d",
-        mesh=mesh,
-        rhs=rhs,
-        jacobian=jacobian,
-        initial=initial,
-        wave_speed=lambda u: float(np.max(np.abs(u))) if len(u) else 0.0,
-        diffusivity=lambda u: nu,
-        params={"nu": nu, "anisotropy": anisotropy, "sigma": sigma},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,17 @@ concatenated in partition order (`Partition.flat_locals`, one slice per
 subdomain between consecutive `offsets`). A `Partition` computes at
 construction, for every mesh node, the position in that vector of its
 owner's value (`owner_positions`), and `gather_overwrite` reads it every
-step.
+step. It also lays the local problems out for phi: row i of a (D, L)
+stack, L the widest window (`width`), holds M_i in window order and zeros
+after it; `stack_positions` maps each flat entry to its place in that
+stack, and is None when every window has L nodes and the flat vector is
+the stack already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -50,6 +54,9 @@ class Partition:
     flat_locals: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    stack_positions: Optional[np.ndarray] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.D != len(self.interiors) or self.D != len(self.locals):
@@ -68,11 +75,21 @@ class Partition:
         if np.any(owners < 0):
             raise ValueError("interiors must cover every mesh index")
         flat = np.concatenate([m.indices for m in self.locals])
-        for arr in (offsets, owners, flat):
-            arr.setflags(write=False)
+        sizes = np.diff(offsets)
+        width = int(sizes.max())
+        stack = None
+        if np.any(sizes != width):
+            # window i's entries, in order, at the front of stack row i
+            stack = np.arange(flat.size) + np.repeat(
+                np.arange(self.D) * width - offsets[:-1], sizes)
+        for arr in (offsets, owners, flat, stack):
+            if arr is not None:
+                arr.setflags(write=False)
         object.__setattr__(self, "flat_locals", flat)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "owner_positions", owners)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "stack_positions", stack)
 
     @property
     def dof_updates_per_step(self) -> int:

@@ -3,10 +3,10 @@
 `run_lem` is the one exponential driver. Per step it advances all
 subdomains at once on data frozen at t_n and gathers the interiors: the
 local states are one flat vector, the residual is two sparse matvecs (the
-block-diagonal local operators and the stacked exterior couplings), each
-run of consecutive equal-size subdomains takes one batched phi product
-(with Krylov phi, all subdomains are members of one Arnoldi process on
-the block-diagonal operator), and one scatter keeps the interiors.
+block-diagonal local operators and the stacked exterior couplings), every
+phi application is one call on the zero-padded stack of all subdomains
+(one batched dense product, or one Arnoldi process with every subdomain
+a member), and one scatter keeps the interiors.
 `run_global` runs exponential methods through it on the one-subdomain
 partition, so both share one step formula.
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import groupby
 from typing import List, Optional
 
 import numpy as np
@@ -109,17 +108,15 @@ class _StackedStep:
     acting on it and `halo` the stacked exterior couplings [H_1; ...; H_D]
     acting on the global state, both built from each subdomain's own
     `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
-    A_i v_i + H_i u bitwise. With DenseStored phi, a run is a maximal
-    sequence of consecutive subdomains of equal size, and shares one
-    stacked evaluator; a run of one keeps its own. The runs tile the flat
-    vector in partition order. With KrylovAction phi there is one run: the
-    whole flat vector, whose Krylov evaluator of `a_sum` runs every
-    subdomain as one member of a single Arnoldi process. A `runs` entry is
-    (slice of the flat vector, shape of the evaluator's input, evaluator).
+    A_i v_i + H_i u bitwise. `phi_eval` is one evaluator for all
+    subdomains on the zero-padded (D, L) stack of `Partition`: with
+    DenseStored phi it stacks the subdomains' stored phi_k, with
+    KrylovAction phi it runs every subdomain as one member of a single
+    Arnoldi process on `a_sum` moved to the stack positions.
     """
 
     __slots__ = ("system", "part", "dt", "method", "a_sum", "halo", "g_shift",
-                 "runs")
+                 "phi_eval")
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
                  u: np.ndarray, t_n: float, cfg: StepperConfig):
@@ -138,34 +135,26 @@ class _StackedStep:
             [jac.halo(m_i, m_i) for m_i in part.locals])
         self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
 
-        off = part.offsets
         if cfg.phi_mode == "KrylovAction":
-            n_flat = part.dof_updates_per_step
-            self.runs = [(slice(0, n_flat), (n_flat,), PhiEvaluator.krylov(
-                self.a_sum, cfg.dt, order_max, sizes=np.diff(off)))]
-            return
-        # runs of consecutive equal-size subdomains
-        phis = [PhiEvaluator.dense(a_loc, cfg.dt, order_max) for a_loc in a_locs]
-        self.runs = []
-        for _, ids in groupby(range(part.D), key=lambda i: len(part.locals[i])):
-            ids = list(ids)
-            lo, hi = ids[0], ids[-1] + 1
-            sel, size = slice(off[lo], off[hi]), len(part.locals[lo])
-            if hi - lo == 1:
-                self.runs.append((sel, (size,), phis[lo]))
-            else:
-                self.runs.append((sel, (hi - lo, size),
-                                  PhiEvaluator.stacked(phis[lo:hi])))
-
-    @property
-    def evaluators(self) -> List[PhiEvaluator]:
-        return [phi for _, _, phi in self.runs]
+            a, pos = self.a_sum, part.stack_positions
+            if pos is not None:
+                n_stack = part.D * part.width
+                a = BandedSparseMatrix(n_stack, n_stack, pos[a.rows],
+                                       pos[a.cols], a.vals)
+            self.phi_eval = PhiEvaluator.krylov(a, cfg.dt, order_max)
+        else:
+            self.phi_eval = PhiEvaluator.stacked(
+                [PhiEvaluator.dense(a_loc, cfg.dt, order_max) for a_loc in a_locs])
 
     def phi(self, k: int, x: np.ndarray) -> np.ndarray:
         """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
-        out = [phi.apply(k, x[sel].reshape(shape)).reshape(-1)
-               for sel, shape, phi in self.runs]
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        part = self.part
+        pos, shape = part.stack_positions, (part.D, part.width)
+        if pos is None:
+            return self.phi_eval.apply(k, x.reshape(shape)).reshape(-1)
+        stack = np.zeros(part.D * part.width, dtype=x.dtype)
+        stack[pos] = x
+        return self.phi_eval.apply(k, stack.reshape(shape)).reshape(-1)[pos]
 
     def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
         """One step of every subdomain from u at t_n, as one flat vector."""
@@ -202,7 +191,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     (`_StackedStep`), then gather keeping interiors only. The stacked step
     is rebuilt every refresh interval (for linear systems: built once,
     first step). Krylov dimensions and misses are harvested from the
-    outgoing step's evaluators at each rebuild.
+    outgoing step's evaluator at each rebuild.
     """
     if cfg.method not in _EXP_METHODS:
         raise ValueError(f"run_lem supports {_EXP_METHODS}, got {cfg.method!r}")
@@ -222,9 +211,9 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
 
     def harvest():
         nonlocal misses
-        for phi in step.evaluators if step else ():
-            dims.extend(phi.krylov_dims)
-            misses += phi.krylov_misses
+        if step is not None:
+            dims.extend(step.phi_eval.krylov_dims)
+            misses += step.phi_eval.krylov_misses
 
     t_start = time.perf_counter()
     for s in range(steps):

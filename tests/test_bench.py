@@ -137,6 +137,8 @@ class TestParseConfig:
          "malformed number", 3),
         ("[advdiff1d]\nD = 1, 0\nrows = C=1 B=8\n", "at least 1", 2),
         ("[advdiff1d]\nD = -2\nrows = C=1 B=8\n", "at least 1", 2),
+        ("[advdiff1d]\nn = 16\nD = 1, 17\nrows = C=1 B=0\n",
+         "cannot split 16 mesh rows into 17", 3),
         ("[advdiff1d]\nn = 401.7\nrows = C=1 B=8\n", "positive integer", 2),
         ("[advdiff1d]\nrows = C=1 B=-3\n", "nonnegative integer", 2),
         ("[advdiff1d]\nT = -1\nrows = C=1 B=8\n", "T must be positive", 2),
@@ -173,8 +175,6 @@ class TestParseConfig:
         ("[porous1d]\nt0 = -1\nrows = dt=0.01 B=4\n", "t0 must be positive", 1),
         ("[fv_advection1d]\nu_adv = 0\nrows = dt=0.01 B=4\n",
          "wave speed must be positive", 1),
-        ("[burgers2d]\nanisotropy = 3\nnx = 8\nny = 8\nrows = dt=0.01 B=1\n",
-         "inconsistent with anisotropy", 1),
         ("[porous1d]\nrows = C=1 B=0\n", "no wave speed", 2),
         ("[fv_advection1d]\nrows = mu=1 B=0\n", "no diffusivity", 2),
         ("[advdiff1d]\nmethods = AdaptiveReference\nrows = C=1 B=0\n",

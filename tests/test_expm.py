@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from lem import (
@@ -346,6 +346,11 @@ class TestKrylovKernel:
 # squaring counts for matrices of 1-norm about 1
 STACK_SCALES = (0.0, 1e-3, 2.0, 40.0, 300.0)
 
+# a member of subnormal 1-norm beside members that need squarings
+SUBNORMAL_STACK = np.array([[[5e-324, 0.0], [0.0, 0.0]],
+                            [[-20.0, 20.0], [3.0, 1.0]],
+                            [[150.0, -100.0], [50.0, -150.0]]])
+
 
 @st.composite
 def matrix_stacks(draw, hessenberg=False):
@@ -367,6 +372,7 @@ def matrix_stacks(draw, hessenberg=False):
 class TestStackedExponential:
     @settings(max_examples=60, deadline=None)
     @given(matrix_stacks())
+    @example(SUBNORMAL_STACK)
     def test_stack_member_is_single_call_bitwise(self, stack):
         got = expm_dense(stack)
         assert got.shape == stack.shape
@@ -392,6 +398,14 @@ class TestStackedExponential:
         got = expm_dense(a)
         assert np.array_equal(got[0], np.eye(9))
         for member, m in zip(got, a):
+            assert np.array_equal(member, expm_dense(m))
+            ref = scipy.linalg.expm(m)
+            assert np.linalg.norm(member - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_subnormal_norm_takes_no_squaring(self):
+        assert np.array_equal(expm_dense(np.array([[5e-324]])), np.eye(1))
+        got = expm_dense(SUBNORMAL_STACK)
+        for member, m in zip(got, SUBNORMAL_STACK):
             assert np.array_equal(member, expm_dense(m))
             ref = scipy.linalg.expm(m)
             assert np.linalg.norm(member - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -433,14 +447,17 @@ class TestBatchedKrylov:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_members_match_single_runs(self, complex_):
         blocks, vecs = self.members(complex_)
-        sizes = np.array(self.SIZES)
-        g, size = len(sizes), int(sizes.max())
-        ev = PhiEvaluator.krylov(BandedSparseMatrix.vstack(blocks, diagonal=True),
-                                 0.2, order_max=1, sizes=sizes)
+        g, size = len(self.SIZES), max(self.SIZES)
+        # block i acts on row i of the zero-padded (G, L) stack
+        padded = BandedSparseMatrix(
+            g * size, g * size,
+            np.concatenate([b.rows + i * size for i, b in enumerate(blocks)]),
+            np.concatenate([b.cols + i * size for i, b in enumerate(blocks)]),
+            np.concatenate([b.vals for b in blocks]))
         stack = np.zeros((g, size), dtype=vecs[0].dtype)
         for i, v in enumerate(vecs):
             stack[i, :v.size] = v
-        got, m_used, converged = _phi_action_krylov(ev._op, 0.2, stack, 1,
+        got, m_used, converged = _phi_action_krylov(padded, 0.2, stack, 1,
                                                     tol=1e-12, m_max=14)
         singles = [_phi_action_krylov(b, 0.2, v, 1, tol=1e-12, m_max=14)
                    for b, v in zip(blocks, vecs)]
@@ -452,13 +469,15 @@ class TestBatchedKrylov:
             assert np.linalg.norm(got[i, :want.size] - want) <= 1e-12 * scale
             assert not np.any(got[i, want.size:])  # padding stays zero
 
-        # the evaluator maps the concatenated vector through the padding
-        flat = ev.apply(1, np.concatenate(vecs))
-        off = np.cumsum((0,) + self.SIZES)
+        # the evaluator takes the stack whole, one dimension per member
+        ev = PhiEvaluator.krylov(padded, 0.2, order_max=1)
+        out = ev.apply(1, stack)
+        assert out.shape == stack.shape
         for i, v in enumerate(vecs):
             want, m, _ = _phi_action_krylov(blocks[i], 0.2, v, 1)
             scale = max(np.linalg.norm(want), 1e-300)
-            assert np.linalg.norm(flat[off[i]:off[i + 1]] - want) <= 1e-12 * scale
+            assert np.linalg.norm(out[i, :v.size] - want) <= 1e-12 * scale
+            assert not np.any(out[i, v.size:])
             assert ev.krylov_dims[i] == m
 
 

@@ -10,7 +10,6 @@ from lem import (
     build_advdiff_2d,
     build_advection_dirichlet_1d,
     build_burgers_1d,
-    build_burgers_2d,
     build_fv_advection_1d,
     build_porous_1d,
     build_schrodinger_1d,
@@ -344,52 +343,6 @@ class TestAdvDiff2D:
         assert system.wave_speed(system.initial) > 0
 
 
-class TestBurgers2D:
-    def test_anisotropy_validation(self):
-        # requires dy == dx / anisotropy; dx = 8/16 = 0.5 so ly must be 8
-        build_burgers_2d(16, 32, 8.0, 8.0, anisotropy=2.0)
-        with pytest.raises(ValueError):
-            build_burgers_2d(16, 32, 8.0, 5.0, anisotropy=2.0)
-
-    def test_conservative(self):
-        system = build_burgers_2d(12, 24, 6.0, 6.0, anisotropy=2.0)
-        rng = np.random.default_rng(17)
-        u = rng.standard_normal(12 * 24)
-        assert abs(np.sum(system.rhs(u, 0.0))) <= 1e-10
-
-    def test_jacobian_matches_fd(self):
-        system = build_burgers_2d(8, 16, 4.0, 4.0, anisotropy=2.0)
-        mesh_n = 8 * 16
-        found = 0
-        seed = 100
-        while found < 5:
-            rng = np.random.default_rng(seed)
-            x = np.arange(8)[:, None]
-            y = np.arange(16)[None, :]
-            c = rng.standard_normal(4)
-            u = (c[0] * np.sin(2 * np.pi * x / 8 + c[1])
-                 * np.cos(2 * np.pi * y / 16 + c[2]) + 0.5 * c[3])
-            u = 0.4 * u.ravel()
-            # reject states whose limiter margins sit inside the FD probe
-            ok = True
-            for axis, na in ((0, 8), (1, 16)):
-                g = u.reshape(8, 16)
-                dl = g - np.roll(g, 1, axis=axis)
-                dr = np.roll(g, -1, axis=axis) - g
-                margin = min(np.min(np.abs(dl * dr)),
-                             np.min(np.abs(np.abs(dl) - np.abs(dr))))
-                if margin < 1e-4:
-                    ok = False
-            if not ok or np.min(np.abs(u)) < 1e-3:
-                seed += 1
-                continue
-            jac = system.jacobian(u).to_dense()
-            ref = fd_jacobian(system, u)
-            assert np.max(np.abs(jac - ref)) <= 1e-5, f"seed {seed}"
-            found += 1
-            seed += 1
-
-
 class TestStencil:
     def test_periodic_wrap(self):
         mesh = Mesh.line(5, 5.0)
@@ -435,25 +388,6 @@ class TestStencil:
             _stencil(line, [(0, 2, 1.0)], bandwidth_hint=1)
         with pytest.raises(ValueError, match="exceeds hint"):  # wrap reaches n-1
             _stencil(Mesh.line(6, 6.0), [(0, 1, 1.0)], bandwidth_hint=1)
-
-
-class TestBurgersAxes:
-    @pytest.mark.parametrize("nx,ny,lx,ly,anisotropy", [
-        (16, 32, 8.0, 8.0, 2.0), (32, 64, 10.0, 5.0, 4.0), (40, 40, 10.0, 10.0, 1.0)])
-    @pytest.mark.parametrize("profile", ["gaussian", "random"])
-    def test_y_constant_rhs_is_burgers1d_bitwise(self, nx, ny, lx, ly,
-                                                 anisotropy, profile):
-        one = build_burgers_1d(nx, lx, 0.05)
-        two = build_burgers_2d(nx, ny, lx, ly, 0.05, anisotropy)
-        x = one.mesh.coords()
-        rng = np.random.default_rng(nx + ny)
-        for scale in (0.5, 1.0, 3.0):
-            p = (scale * np.exp(-(x - lx / 3) ** 2) if profile == "gaussian"
-                 else scale * rng.standard_normal(nx))
-            got = two.rhs(np.repeat(p[:, None], ny, axis=1).ravel(), 0.0)
-            want = one.rhs(p, 0.0)
-            assert np.array_equal(got.reshape(nx, ny),
-                                  np.repeat(want[:, None], ny, axis=1))
 
 
 class TestAdvDiff2DOracle:

@@ -187,6 +187,19 @@ class TestPartitionProperties:
         assert np.array_equal(flat[pos], np.arange(n))
         # each node's value is read from its owner's slice
         assert np.all((off[owner] <= pos) & (pos < off[owner + 1]))
+        # the (D, L) phi stack: window i in window order at the front of
+        # row i, zeros after it; no scatter when every window has L nodes
+        sizes = [len(m_i) for m_i in part.locals]
+        assert part.width == max(sizes)
+        assert (part.stack_positions is None) == all(
+            s == part.width for s in sizes)
+        at = part.stack_positions
+        stack = np.zeros(d * part.width, dtype=np.int64)
+        stack[slice(None) if at is None else at] = flat + 1  # all nonzero
+        stack = stack.reshape(d, part.width)
+        for i, m_i in enumerate(part.locals):
+            assert np.array_equal(stack[i, :sizes[i]], m_i.indices + 1)
+            assert not np.any(stack[i, sizes[i]:])
 
     @settings(max_examples=50, deadline=None)
     @given(meshes_and_splits())

@@ -493,32 +493,29 @@ class TestStackedStep:
         assert sorted(log) == ref_log
 
         step = _StackedStep(system, part, system.initial, 0.0, cfg)
+        phi = step.phi_eval
         if cfg.phi_mode == "KrylovAction":
-            # one run over the whole flat vector, one Arnoldi member per
-            # subdomain, one logged dimension per member and application
-            (sel, shape, phi), = step.runs
-            n_flat = part.dof_updates_per_step
-            assert (sel.start, sel.stop, shape) == (0, n_flat, (n_flat,))
+            # one Arnoldi member per subdomain, one logged dimension per
+            # member and application
             log.clear()
             with patch:
-                step.phi(1, np.ones(n_flat))
+                step.phi(1, np.ones(part.dof_updates_per_step))
             assert len(log) == len(phi.krylov_dims) == part.D
             return
 
-        # the runs are slices that tile the flat vector in partition order;
-        # each is a maximal sequence of consecutive equal-size subdomains
-        off = list(part.offsets)
-        sizes = [len(m_i) for m_i in part.locals]
-        stop, first, run_sizes = 0, 0, []
-        for sel, shape, _ in step.runs:
-            assert isinstance(sel, slice) and sel.start == stop
-            count = shape[0] if len(shape) == 2 else 1
-            assert off[first] == sel.start and off[first + count] == sel.stop
-            assert sizes[first:first + count] == [shape[-1]] * count
-            stop, first = sel.stop, first + count
-            run_sizes.append(shape[-1])
-        assert stop == part.dof_updates_per_step and first == part.D
-        assert all(a != b for a, b in zip(run_sizes, run_sizes[1:]))
+        # one (D, L, L) stack: member i is subdomain i's own phi_k in its
+        # leading block, zeros around it
+        jac = (system.linear_matrix if system.is_linear
+               else system.jacobian(system.initial))
+        for i, m_i in enumerate(part.locals):
+            n_i = len(m_i)
+            own = PhiEvaluator.dense(jac.restrict(m_i, m_i), cfg.dt,
+                                     phi.order_max)._cached
+            for k in range(1, phi.order_max + 1):
+                stack = phi._cached[k]
+                assert stack.shape == (part.D, part.width, part.width)
+                assert np.array_equal(stack[i, :n_i, :n_i], own[k])
+                assert not np.any(stack[i, n_i:]) and not np.any(stack[i, :, n_i:])
 
     @settings(max_examples=30, deadline=None)
     @given(stepping_cases())
@@ -532,14 +529,17 @@ class TestStackedStep:
         for a, b in zip(r_lem.trajectory, r_glob.trajectory):
             assert np.array_equal(a, b)
 
-    def test_groups_are_runs(self):
-        # the clipped Dirichlet ends are runs of one on either side of the
-        # run of unclipped subdomains
+    def test_stack_pads_clipped_ends(self):
+        # the clipped Dirichlet end windows are zero-padded to the width of
+        # the unclipped ones, and one (D, L, L) stack holds every phi_k
         system = build_porous_1d(64, 10.0)
         part = make_partition(system.mesh, 4, 6)
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
-        assert [shape for _, shape, _ in step.runs] == [(22,), (2, 28), (22,)]
-        assert [(sel.start, sel.stop) for sel, _, _ in step.runs] == [
-            (0, 22), (22, 78), (78, 100)]
+        assert [len(m_i) for m_i in part.locals] == [22, 28, 28, 22]
+        stack = step.phi_eval._cached[1]
+        assert stack.shape == (4, 28, 28)
+        for i in (0, 3):
+            assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
+            assert np.all(np.diag(stack[i])[:22] > 0)
         assert step.a_sum.shape == (100, 100) and step.halo.shape == (100, 64)
