@@ -496,7 +496,7 @@ def run_sweep(case: BenchCase, workers: int = 1,
         for row in case.rows:
             for d in case.d_values:
                 min_interior = min(_block_sizes(n_axis, d))
-                if d > 1 and min_interior <= row["B"]:
+                if 1 < d <= n_axis and min_interior <= row["B"]:
                     log.info(
                         "skipping %s %s D=%d B=%d: interiors of %d nodes "
                         "would be the same size as the buffer regions or "

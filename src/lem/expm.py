@@ -406,10 +406,10 @@ def _norms(w: np.ndarray) -> np.ndarray:
 class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
 
-    DenseStored mode precomputes phi_1..phi_{order_max}(dt A) once and applies
-    them by matrix-vector products. `stacked` joins the stored matrices of
-    several operators along a leading batch axis, each zero-padded to the
-    largest size L, so one `apply` serves all of them on a (G, L) stack.
+    DenseStored mode precomputes phi_1..phi_{order_max}(dt A_i) once for
+    each of G operators A_i and applies them by matrix-vector products.
+    They are stored in one (order_max, G, L, L) array, each zero-padded to
+    the largest size L, so one `apply` serves all of them on a (G, L) stack.
     KrylovAction mode runs one Arnoldi process per application at
     KRYLOV_TOL. Given a (G, L) stack, A must be block diagonal with G
     blocks of size L that act on the flattened stack, and every block is
@@ -422,48 +422,36 @@ class PhiEvaluator:
     dt: float
     order_max: int
     _op: object = field(repr=False, default=None)
-    _cached: list = field(repr=False, default=None)
+    _cached: np.ndarray = field(repr=False, default=None)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
     @classmethod
-    def dense(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
-        dense_a = a.to_dense() if isinstance(a, BandedSparseMatrix) else np.asarray(a)
-        phis = phi_dense_all(dt * dense_a, order_max)
-        return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=phis)
+    def dense(cls, ops: list, dt: float, order_max: int) -> "PhiEvaluator":
+        """DenseStored evaluator of the `BandedSparseMatrix` operators `ops`:
+        entry [k - 1, i] of the stored array is phi_k(dt A_i), zero-padded
+        to the largest size."""
+        phis = [phi_dense_all(dt * a.to_dense(), order_max)[1:] for a in ops]
+        width = max(len(p[0]) for p in phis)
+        stack = np.zeros((order_max, len(phis), width, width),
+                         dtype=np.result_type(*(p[0] for p in phis)))
+        for i, p in enumerate(phis):
+            n = len(p[0])
+            stack[:, i, :n, :n] = p
+        return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=stack)
 
     @classmethod
     def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
         return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
 
-    @classmethod
-    def stacked(cls, members: list) -> "PhiEvaluator":
-        """One DenseStored evaluator for DenseStored `members`, whose phi_k
-        is the (G, L, L) stack of the members' phi_k zero-padded to the
-        largest size L. A single member is viewed, not copied."""
-        first = members[0]
-        cached = [None]
-        for k in range(1, first.order_max + 1):
-            mats = [e._cached[k] for e in members]
-            if len(mats) == 1:
-                cached.append(mats[0][None])
-                continue
-            width = max(len(m) for m in mats)
-            stack = np.zeros((len(mats), width, width), dtype=np.result_type(*mats))
-            for row, m in zip(stack, mats):
-                row[:len(m), :len(m)] = m
-            cached.append(stack)
-        return cls(mode="DenseStored", dt=first.dt, order_max=first.order_max,
-                   _cached=cached)
-
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
-        """phi_k(dt A) vec, `vec` of shape (..., L). DenseStored: batched
-        against a stack of phi_k; KrylovAction: one vector, or a (G, L)
-        stack of the members of a block-diagonal operator."""
+        """phi_k(dt A) vec, in the shape of `vec`: one vector (of a single
+        operator), or a (G, L) stack with one row per operator (DenseStored)
+        or per member of a block-diagonal operator (KrylovAction)."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            return (self._cached[k] @ vec[..., None])[..., 0]
+            return (self._cached[k - 1] @ vec[..., None]).reshape(vec.shape)
         result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
         self.krylov_dims.extend(m_used.tolist())

@@ -16,8 +16,8 @@ class RunReport:
 
     Error fields are filled in by whoever owns the oracle (the bench sweep
     or a test); the integrators report timing, configuration, and state.
-    ``wall_seconds`` covers the stepping loop including any phi-cache
-    builds, excluding oracle computation and I/O.
+    ``wall_seconds`` times the one stepping loop of every method, phi
+    builds and factorizations included, oracle computation and I/O excluded.
     """
 
     case: str

@@ -1,14 +1,15 @@
 """Time integrators: exponential (global and subdomain-local) and classical.
 
-`run_lem` is the one exponential driver. Per step it advances all
-subdomains at once on data frozen at t_n and gathers the interiors: the
-local states are one flat vector, the residual is two sparse matvecs (the
-block-diagonal local operators and the stacked exterior couplings), every
-phi application is one call on the zero-padded stack of all subdomains
-(one batched dense product, or one Arnoldi process with every subdomain
-a member), and one scatter keeps the interiors.
-`run_global` runs exponential methods through it on the one-subdomain
-partition, so both share one step formula.
+`run_lem` is the one stepping loop. Per step it advances all subdomains at
+once on data frozen at t_n and gathers the interiors: the local states are
+one flat vector, the residual is two sparse matvecs (the block-diagonal
+local operators and the stacked exterior couplings), every phi application
+is one call on the zero-padded stack of all subdomains (one batched dense
+product, or one Arnoldi process with every subdomain a member), and one
+scatter keeps the interiors. RK4 and Crank-Nicolson step the whole mesh
+through the same loop on the one-subdomain partition, and `run_global` is
+`run_lem` on that partition for every method, so all methods share one
+loop, one timer and one report.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -22,9 +23,10 @@ with the Rosenbrock-Euler formula u + dt*phi_1(dt J)F(u), and with
 ``jacobian_refresh_every=1`` both methods are the standard schemes of
 orders 2 and 3.
 
-Krylov applications that reach m_max unconverged are counted per
-subdomain and run, and reported as one `RunReport.warnings` entry; the
-drivers install no warning filters.
+Krylov applications that reach m_max unconverged and Crank-Nicolson steps
+whose Newton iteration stalls are counted per run, and each reported as
+one `RunReport.warnings` entry; the drivers install no warning filters.
+A final state that is not finite raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class StepperConfig:
 
 
 # ---------------------------------------------------------------------------
-# LEM driver
+# the stepping loop and its step objects
 
 
 class _StackedStep:
@@ -115,7 +117,7 @@ class _StackedStep:
     Arnoldi process on `a_sum` moved to the stack positions.
     """
 
-    __slots__ = ("system", "part", "dt", "method", "a_sum", "halo", "g_shift",
+    __slots__ = ("system", "part", "dt", "stage3", "a_sum", "halo", "g_shift",
                  "phi_eval")
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
@@ -126,10 +128,12 @@ class _StackedStep:
         else:
             jac = system.jacobian(u)
             g_shift = system.rhs(u, t_n) - jac.matvec(u)
-        order_max = 3 if cfg.method == "ExpRB3" else 1
+        # ExpRB3 is ExpEuler on linear systems: its phi_3 stage runs, and
+        # phi_3 is built, only on nonlinear ones
+        self.stage3 = cfg.method == "ExpRB3" and not system.is_linear
+        order_max = 3 if self.stage3 else 1
         a_locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
-        self.system, self.part = system, part
-        self.dt, self.method = cfg.dt, cfg.method
+        self.system, self.part, self.dt = system, part, cfg.dt
         self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
         self.halo = BandedSparseMatrix.vstack(
             [jac.halo(m_i, m_i) for m_i in part.locals])
@@ -143,8 +147,7 @@ class _StackedStep:
                                        pos[a.cols], a.vals)
             self.phi_eval = PhiEvaluator.krylov(a, cfg.dt, order_max)
         else:
-            self.phi_eval = PhiEvaluator.stacked(
-                [PhiEvaluator.dense(a_loc, cfg.dt, order_max) for a_loc in a_locs])
+            self.phi_eval = PhiEvaluator.dense(a_locs, cfg.dt, order_max)
 
     def phi(self, k: int, x: np.ndarray) -> np.ndarray:
         """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
@@ -160,7 +163,7 @@ class _StackedStep:
         """One step of every subdomain from u at t_n, as one flat vector."""
         system, dt, idx = self.system, self.dt, self.part.flat_locals
         v = u[idx]
-        if self.method == "ExpRB3" and not system.is_linear:
+        if self.stage3:
             # stages evaluate the true local rhs with exterior frozen at t_n;
             # at the local states u[idx] that is the global rhs restricted
             f_n = system.rhs(u, t_n)[idx]
@@ -182,57 +185,129 @@ class _StackedStep:
         return v + dt * self.phi(1, w)
 
 
+class _ClassicalStep:
+    """One RK4 or Crank-Nicolson step of the whole mesh, the classical
+    counterpart of `_StackedStep` on the one-subdomain partition.
+
+    Crank-Nicolson factors I - dt/2 J at the rebuild (RK4 freezes nothing);
+    on nonlinear systems `stalls` lists the final residual of every step
+    whose modified Newton iteration stalled.
+    """
+
+    __slots__ = ("system", "dt", "solver", "stalls")
+
+    def __init__(self, system: SemiDiscreteSystem, part: Partition,
+                 u: np.ndarray, t_n: float, cfg: StepperConfig):
+        self.system, self.dt, self.stalls = system, cfg.dt, []
+        self.solver = None
+        if cfg.method == "CrankNicolson":
+            self.factor(system.linear_matrix if system.is_linear
+                        else system.jacobian(u))
+
+    def factor(self, jac: BandedSparseMatrix) -> None:
+        """Set `solver` to the LU factors of I - dt/2 J."""
+        self.solver = splu(sp_identity(jac.n_rows, dtype=jac.dtype, format="csc")
+                           - 0.5 * self.dt * jac.to_csr().tocsc())
+
+    def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
+        """One step of the whole mesh from u at t_n."""
+        system, dt, f = self.system, self.dt, self.system.rhs
+        if self.solver is None:
+            k1 = f(u, t_n)
+            k2 = f(u + dt / 2 * k1, t_n + dt / 2)
+            k3 = f(u + dt / 2 * k2, t_n + dt / 2)
+            k4 = f(u + dt * k3, t_n + dt)
+            return u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        f_n = f(u, t_n)
+        if system.is_linear:
+            # trapezoidal: (I - dt/2 A) u+ = u + dt/2 A u
+            return self.solver.solve(u + 0.5 * dt * f_n)
+        # modified Newton with the frozen factorization; judged by the
+        # residual, since limiter kinks can cycle harmlessly at the 1e-10
+        # level. A stale factorization can also fail to contract outright,
+        # in which case refactor once and retry.
+        scale = 1.0 + float(np.max(np.abs(u)))
+        for attempt in range(2):
+            v = u + dt * f_n
+            resid_inf = np.inf
+            for _ in range(50):
+                resid = v - u - 0.5 * dt * (f_n + f(v, t_n + dt))
+                resid_inf = float(np.max(np.abs(resid)))
+                if resid_inf <= 1e-10 * scale:
+                    break
+                v = v + self.solver.solve(-resid)
+            if resid_inf <= 1e-8 * scale or attempt == 1:
+                break
+            self.factor(system.jacobian(u))
+        if resid_inf > 1e-8 * scale:
+            self.stalls.append(resid_inf)
+        return v
+
+
 def run_lem(system: SemiDiscreteSystem, part: Partition,
             cfg: StepperConfig) -> RunReport:
-    """Advance the system with one exponential step per subdomain per step.
+    """Advance the system, one step of every subdomain per step.
 
     Per step: take every subdomain's local exponential step on M_i with
     exterior data frozen at t_n, all at once on the flat local vector
-    (`_StackedStep`), then gather keeping interiors only. The stacked step
-    is rebuilt every refresh interval (for linear systems: built once,
-    first step). Krylov dimensions and misses are harvested from the
-    outgoing step's evaluator at each rebuild.
+    (`_StackedStep`), then gather keeping interiors only; RK4 and
+    Crank-Nicolson (`_ClassicalStep`) need the one-subdomain partition.
+    The step is rebuilt every refresh interval (for linear systems: built
+    once, first step), and its Krylov misses or Newton stalls harvested.
     """
-    if cfg.method not in _EXP_METHODS:
-        raise ValueError(f"run_lem supports {_EXP_METHODS}, got {cfg.method!r}")
     if part.n_total != system.n:
         raise ValueError("partition size does not match the system")
+    classical = cfg.method in _CLASSICAL_METHODS
+    if classical and part.D != 1:
+        raise ValueError(f"{cfg.method} steps the whole mesh and needs the "
+                         f"one-subdomain partition, got D={part.D}")
     if cfg.method == "ExpEuler" and not system.is_linear:
         raise ValueError("exponential Euler needs a linear system; "
                          "use an exponential Rosenbrock method")
 
     steps = cfg.n_steps
     refresh = cfg.refresh_interval(system)
+    make_step = _ClassicalStep if classical else _StackedStep
     u = np.array(system.initial, copy=True)
     trajectory = [u.copy()] if cfg.record_trajectory else None
-    step: Optional[_StackedStep] = None
     dims: List[int] = []
+    stalls: List[float] = []
     misses = 0
 
     def harvest():
         nonlocal misses
-        if step is not None:
+        if classical:
+            stalls.extend(step.stalls)
+        else:
             dims.extend(step.phi_eval.krylov_dims)
             misses += step.phi_eval.krylov_misses
 
     t_start = time.perf_counter()
+    step = make_step(system, part, u, 0.0, cfg)
     for s in range(steps):
         t_n = s * cfg.dt
-        if step is None or (refresh is not None and s % refresh == 0):
+        if s and refresh is not None and s % refresh == 0:
             harvest()
-            step = _StackedStep(system, part, u, t_n, cfg)
+            step = make_step(system, part, u, t_n, cfg)
         u = gather_overwrite(part, step.advance(u, t_n), u)
         if trajectory is not None:
             trajectory.append(u.copy())
     wall = time.perf_counter() - t_start
 
     harvest()
+    if not np.isfinite(u).all():
+        raise FloatingPointError(
+            f"{cfg.method} state is not finite after {steps} steps")
     captured: List[str] = []
     if misses:
         captured.append(
             f"phi_action_krylov: no convergence within "
             f"m_max={KRYLOV_M_MAX} in {misses} of "
             f"{len(dims)} applications")
+    if stalls:
+        captured.append(
+            f"CrankNicolson Newton stalled at {len(stalls)} of {steps} steps "
+            f"(worst residual {max(stalls):.2e})")
     sp = stability_params(system, cfg.dt)
     return RunReport(
         case=system.kind, method=cfg.method, D=part.D, B=part.b_nominal,
@@ -243,94 +318,9 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     )
 
 
-# ---------------------------------------------------------------------------
-# global (single-domain) runs, classical comparison methods
-
-
-def _rk4_step(system, u, t, dt):
-    f = system.rhs
-    k1 = f(u, t)
-    k2 = f(u + dt / 2 * k1, t + dt / 2)
-    k3 = f(u + dt / 2 * k2, t + dt / 2)
-    k4 = f(u + dt * k3, t + dt)
-    return u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _run_classical(system: SemiDiscreteSystem, cfg: StepperConfig) -> RunReport:
-    steps = cfg.n_steps
-    refresh = cfg.refresh_interval(system)
-    u = np.array(system.initial, copy=True)
-    trajectory = [u.copy()] if cfg.record_trajectory else None
-    captured: List[str] = []
-    solver = None
-    stalled = 0
-    worst_resid = 0.0
-
-    t_start = time.perf_counter()
-    for s in range(steps):
-        t_n = s * cfg.dt
-        if cfg.method == "CrankNicolson":
-            if solver is None or (refresh is not None and s % refresh == 0):
-                jac = (system.linear_matrix if system.is_linear
-                       else system.jacobian(u))
-                lhs = (sp_identity(system.n, dtype=jac.dtype, format="csc")
-                       - 0.5 * cfg.dt * jac.to_csr().tocsc())
-                solver = splu(lhs)
-            f_n = system.rhs(u, t_n)
-            if system.is_linear:
-                # trapezoidal: (I - dt/2 A) u+ = u + dt/2 A u
-                u = solver.solve(u + 0.5 * cfg.dt * f_n)
-            else:
-                # modified Newton with the frozen factorization; judged by
-                # the residual, since limiter kinks can cycle harmlessly at
-                # the 1e-10 level. A stale factorization can also fail to
-                # contract outright, in which case refactor once and retry.
-                scale = 1.0 + float(np.max(np.abs(u)))
-                for attempt in range(2):
-                    v = u + cfg.dt * f_n
-                    resid_inf = np.inf
-                    for _ in range(50):
-                        resid = v - u - 0.5 * cfg.dt * (
-                            f_n + system.rhs(v, t_n + cfg.dt))
-                        resid_inf = float(np.max(np.abs(resid)))
-                        if resid_inf <= 1e-10 * scale:
-                            break
-                        v = v + solver.solve(-resid)
-                    if resid_inf <= 1e-8 * scale or attempt == 1:
-                        break
-                    lhs = (sp_identity(system.n, format="csc")
-                           - 0.5 * cfg.dt * system.jacobian(u).to_csr().tocsc())
-                    solver = splu(lhs)
-                if resid_inf > 1e-8 * scale:
-                    stalled += 1
-                    worst_resid = max(worst_resid, resid_inf)
-                u = v
-        else:
-            u = _rk4_step(system, u, t_n, cfg.dt)
-        if trajectory is not None:
-            trajectory.append(u.copy())
-    wall = time.perf_counter() - t_start
-    if stalled:
-        captured.append(
-            f"CrankNicolson Newton stalled at {stalled} of {steps} steps "
-            f"(worst residual {worst_resid:.2e})")
-
-    sp = stability_params(system, cfg.dt)
-    return RunReport(
-        case=system.kind, method=cfg.method, D=1, B=0,
-        courant=sp.courant, mu=sp.mu, dt=cfg.dt, wall_seconds=wall,
-        dof_updates_per_step=system.n, final_state=u,
-        warnings=captured, trajectory=trajectory,
-    )
-
-
 def run_global(system: SemiDiscreteSystem, cfg: StepperConfig) -> RunReport:
-    """Single-domain run: exponential methods via the degenerate partition,
-    classical methods via their usual update formulas."""
-    if cfg.method in _EXP_METHODS:
-        part = make_partition(system.mesh, 1, 0)
-        return run_lem(system, part, cfg)
-    return _run_classical(system, cfg)
+    """Any method on the whole mesh: `run_lem` on the one-subdomain partition."""
+    return run_lem(system, make_partition(system.mesh, 1, 0), cfg)
 
 
 def run_reference(system: SemiDiscreteSystem, t_end: float,

@@ -355,6 +355,33 @@ class TestSweepAndCsv:
             assert r.warnings[0].startswith("run failed: case has no wave speed")
             assert math.isnan(r.dt) and math.isnan(r.err_l2_rel)
 
+    def test_d_above_mesh_rows_recorded_not_skipped(self):
+        # a case built in code bypasses parse_config's check of D against
+        # the mesh rows; the skip rule must not drop the impossible split
+        case = BenchCase(
+            name="advdiff1d",
+            params=dict(n=16, L=10.0, u_adv=1.0, nu=0.01, sigma=None),
+            t_end=0.1, oracle="FourierExact", methods=["ExpEuler"],
+            d_values=[1, 17], rows=[{"B": 0, "dt": 0.01}])
+        reports = run_sweep(case, timing=False)
+        assert [r.D for r in reports] == [1, 17]
+        assert reports[0].warnings == []
+        assert reports[1].warnings == [
+            "run failed: cannot split 16 nodes into 17 subdomains"]
+
+    def test_non_finite_run_recorded_not_raised(self):
+        # RK4 at this step is unstable on the porous medium case; its
+        # all-NaN end state must fail the cell, not pass as a result
+        case = BenchCase(
+            name="porous1d", params=dict(n=64, L=10.0, m=3.0, amp=1.0, t0=1.0),
+            t_end=0.3, oracle="BarenblattExact", methods=["RK4"],
+            d_values=[1], rows=[{"dt": 0.01, "B": 0}])
+        with np.errstate(over="ignore", invalid="ignore"):
+            (report,) = run_sweep(case, timing=False)
+        assert report.warnings == [
+            "run failed: RK4 state is not finite after 30 steps"]
+        assert math.isnan(report.err_l2_rel)
+
     def test_csv_round_trip_exact(self, tmp_path):
         (case,) = parse_build(CHEAP)
         reports = run_sweep(case, timing=False)

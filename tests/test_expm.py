@@ -294,7 +294,7 @@ class TestKrylov:
     def test_evaluator_modes_agree(self):
         a, dense = self.make_operator()
         rng = np.random.default_rng(6)
-        ev_d = PhiEvaluator.dense(a, 0.05, order_max=3)
+        ev_d = PhiEvaluator.dense([a], 0.05, order_max=3)
         ev_k = PhiEvaluator.krylov(a, 0.05, order_max=3)
         for k in (1, 3):
             v = rng.standard_normal(120)

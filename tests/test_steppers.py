@@ -106,6 +106,19 @@ class TestLinearExactness:
             got = run_global(system, cfg(method)).final_state
             assert np.max(np.abs(got - base)) <= 1e-11
 
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("make", [
+        lambda: build_advdiff_1d(64, 10.0, 1.0, 0.03),
+        lambda: build_schrodinger_1d(64, 10.0)], ids=["advdiff", "schrodinger"])
+    def test_exprb3_is_exp_euler_bitwise_on_linear(self, make, d):
+        # the phi_3 stage runs on nonlinear systems only, so on a linear one
+        # ExpRB3 builds and applies the very phi_1 of ExpEuler
+        system = make()
+        part = make_partition(system.mesh, d, 8)
+        cfg = lambda m: StepperConfig(method=m, dt=0.01, t_end=0.1)
+        base = run_lem(system, part, cfg("ExpEuler")).final_state
+        assert np.array_equal(run_lem(system, part, cfg("ExpRB3")).final_state, base)
+
     def test_exp_euler_rejects_nonlinear(self):
         system = build_burgers_1d(32, 10.0, 0.05)
         with pytest.raises(ValueError):
@@ -127,6 +140,11 @@ class TestDegeneratePartition:
         ("fv", "ExpRB2", lambda: build_fv_advection_1d(64, 10.0, 1.0), 0.05),
         ("burgers", "ExpRB3", lambda: build_burgers_1d(64, 10.0, 0.05), 0.025),
         ("porous", "ExpRB2", lambda: build_porous_1d(64, 10.0), 0.01),
+        ("advdiff-rk4", "RK4", lambda: build_advdiff_1d(64, 10.0, 1.0, 0.03), 0.05),
+        ("schrodinger-cn", "CrankNicolson",
+         lambda: build_schrodinger_1d(64, 10.0), 0.005),
+        ("fv-cn", "CrankNicolson", lambda: build_fv_advection_1d(64, 10.0, 1.0), 0.05),
+        ("burgers-rk4", "RK4", lambda: build_burgers_1d(64, 10.0, 0.05), 0.025),
     ]
 
     @pytest.mark.parametrize("name,method,make,dt", CASES,
@@ -141,6 +159,35 @@ class TestDegeneratePartition:
         for a, b in zip(r_lem.trajectory, r_glob.trajectory):
             scale = max(1.0, np.max(np.abs(b)))
             assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("method", ["RK4", "CrankNicolson"])
+    def test_classical_needs_one_subdomain(self, method):
+        system = build_advdiff_1d(64, 10.0, 1.0, 0.03)
+        cfg = StepperConfig(method=method, dt=0.05, t_end=0.5)
+        with pytest.raises(ValueError, match="one-subdomain partition"):
+            run_lem(system, make_partition(system.mesh, 4, 4), cfg)
+
+
+class TestClassicalReports:
+    def test_newton_stalls_reported_once_per_run(self):
+        # inviscid Burgers at a step this large: the modified Newton
+        # iteration stalls at most steps, and the run reports it once
+        system = build_burgers_1d(64, 10.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run_global(system, StepperConfig(
+                method="CrankNicolson", dt=0.25, t_end=1.0))
+        assert rep.warnings == [
+            "CrankNicolson Newton stalled at 3 of 4 steps "
+            "(worst residual 1.36e-02)"]
+
+    def test_non_finite_state_raises(self):
+        # RK4 at this step is unstable on the porous medium case and would
+        # otherwise end all-NaN without a warning
+        system = build_porous_1d(64, 10.0)
+        cfg = StepperConfig(method="RK4", dt=0.01, t_end=0.3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="RK4 state is not finite after 30 steps"):
+            run_global(system, cfg)
 
 
 class TestLocalityError:
@@ -332,7 +379,7 @@ def _ref_build_caches(system, part, u, t_n, cfg):
     else:
         jac = system.jacobian(u)
         g_shift = system.rhs(u, t_n) - jac.matvec(u)
-    order_max = 3 if cfg.method == "ExpRB3" else 1
+    order_max = 3 if cfg.method == "ExpRB3" and not system.is_linear else 1
     caches = []
     for m_i in part.locals:
         idx = m_i.indices
@@ -341,7 +388,7 @@ def _ref_build_caches(system, part, u, t_n, cfg):
         if cfg.phi_mode == "KrylovAction":
             phi = PhiEvaluator.krylov(a_loc, cfg.dt, order_max)
         else:
-            phi = PhiEvaluator.dense(a_loc, cfg.dt, order_max)
+            phi = PhiEvaluator.dense([a_loc], cfg.dt, order_max)
         caches.append(_RefCache(
             a_loc=a_loc, halo=halo, phi=phi,
             g_shift=None if g_shift is None else g_shift[idx], idx=idx))
@@ -509,12 +556,12 @@ class TestStackedStep:
                else system.jacobian(system.initial))
         for i, m_i in enumerate(part.locals):
             n_i = len(m_i)
-            own = PhiEvaluator.dense(jac.restrict(m_i, m_i), cfg.dt,
+            own = PhiEvaluator.dense([jac.restrict(m_i, m_i)], cfg.dt,
                                      phi.order_max)._cached
-            for k in range(1, phi.order_max + 1):
-                stack = phi._cached[k]
-                assert stack.shape == (part.D, part.width, part.width)
-                assert np.array_equal(stack[i, :n_i, :n_i], own[k])
+            assert phi._cached.shape == (phi.order_max, part.D, part.width,
+                                         part.width)
+            for stack, own_k in zip(phi._cached, own):
+                assert np.array_equal(stack[i, :n_i, :n_i], own_k[0])
                 assert not np.any(stack[i, n_i:]) and not np.any(stack[i, :, n_i:])
 
     @settings(max_examples=30, deadline=None)
@@ -537,8 +584,8 @@ class TestStackedStep:
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
         assert [len(m_i) for m_i in part.locals] == [22, 28, 28, 22]
-        stack = step.phi_eval._cached[1]
-        assert stack.shape == (4, 28, 28)
+        assert step.phi_eval._cached.shape == (1, 4, 28, 28)
+        stack = step.phi_eval._cached[0]
         for i in (0, 3):
             assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
             assert np.all(np.diag(stack[i])[:22] > 0)
