@@ -14,10 +14,14 @@ The local exponential method needs three flavors of exponential machinery:
   singular arguments. `expm_dense(a, k)` never forms the (k + 1) n matrix
   W: every power, Pade polynomial, solve and squaring of W keeps the form
   [[X, Y_1 ... Y_k], [0, T kron I]] (`_Block`), so each costs n x n by
-  n x (k + 1) n work. Squaring that form is the phi-function doubling of
-  Skaflestad & Wright (APNUM 2009). Before each squaring, entries below
-  eps^2 times the largest are dropped, since their subnormal fill-in would
-  slow the squarings several times over.
+  n x (k + 1) n work, and writes into a fixed set of n x (k + 1) n
+  buffers allocated once per call. The Pade solve inverts the n x n block
+  X once (LU, then the inverse from it) and applies it as one product.
+  Squaring that form is the phi-function doubling of Skaflestad & Wright
+  (APNUM 2009). Before each squaring, entries below eps^2 times the
+  largest are dropped, since their subnormal fill-in would slow the
+  squarings several times over. `PhiEvaluator.dense` builds the stored
+  phi_k of a list of operators once per distinct operator.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -47,6 +51,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from lem.sparse import BandedSparseMatrix
 
@@ -78,52 +83,68 @@ class _Block:
     """[[X, Y_1 ... Y_k], [0, T kron I]], stored as its top block row and T.
 
     `f` is the n x (k + 1) n row [X, Y_1, ..., Y_k] and `t` the k x k
-    scalar matrix T. Sums, scalar multiples, products and solves of such
-    matrices keep the form, so a product costs one n x n by n x (k + 1) n
-    matmul and a solve one LU of the n x n block.
+    scalar matrix T. Products, sums and solves of such matrices keep the
+    form, so a product costs one n x n by n x (k + 1) n matmul and a solve
+    one n x n inverse and one such matmul. Every operation writes its row
+    with `out=` into an n x (k + 1) n buffer the caller owns (`f` of
+    `out` and of `scratch`); only the k x k T parts are allocated.
     """
 
     __slots__ = ("f", "t")
 
-    def __init__(self, f: np.ndarray, t: np.ndarray):
+    def __init__(self, f: np.ndarray, t: np.ndarray | None = None):
         self.f = f
         self.t = t
 
-    def _mix(self, t: np.ndarray) -> np.ndarray:
-        """[Y_1 ... Y_k] (t kron I): column block j is sum_i t[i, j] Y_i."""
+    def _mix(self, t: np.ndarray, scratch: "_Block") -> np.ndarray:
+        """[Y_1 ... Y_k] (t kron I), written into `scratch`: column block j
+        is sum_i t[i, j] Y_i."""
         n, k = self.f.shape[0], self.t.shape[0]
-        y = self.f[:, n:].reshape(n, k, n)
-        return np.matmul(t.T, y).reshape(n, k * n)
+        mixed = scratch.f.reshape(-1)[:k * n * n].reshape(n, k, n)
+        np.matmul(t.T, self.f[:, n:].reshape(n, k, n), out=mixed)
+        return mixed.reshape(n, k * n)
 
-    def __matmul__(self, other: "_Block") -> "_Block":
+    def product(self, other: "_Block", out: "_Block", scratch: "_Block") -> "_Block":
+        """out = self @ other."""
         n = self.f.shape[0]
-        f = self.f[:, :n] @ other.f
-        f[:, n:] += self._mix(other.t)
-        return _Block(f, self.t @ other.t)
+        np.matmul(self.f[:, :n], other.f, out=out.f)
+        out.f[:, n:] += self._mix(other.t, scratch)
+        out.t = self.t @ other.t
+        return out
 
-    def __add__(self, other: "_Block") -> "_Block":
-        return _Block(self.f + other.f, self.t + other.t)
+    def scaled(self, c: float, out: "_Block") -> "_Block":
+        """out = c self."""
+        np.multiply(self.f, c, out=out.f)
+        out.t = c * self.t
+        return out
 
-    def __sub__(self, other: "_Block") -> "_Block":
-        return _Block(self.f - other.f, self.t - other.t)
+    def add(self, terms, scratch: "_Block") -> "_Block":
+        """self += c_1 B_1 + c_2 B_2 + ..., added left to right, for the
+        (c, B_i) pairs of `terms`; B_i None stands for the identity."""
+        for c, blk in terms:
+            if blk is None:
+                # the diagonal of X in the contiguous row f
+                self.f.reshape(-1)[::self.f.shape[1] + 1] += c
+                self.t = self.t + c * np.eye(len(self.t))
+            else:
+                self.f += blk.scaled(c, scratch).f
+                self.t = self.t + scratch.t
+        return self
 
-    def __rmul__(self, c: float) -> "_Block":
-        return _Block(c * self.f, c * self.t)
-
-    def solve(self, rhs: "_Block") -> "_Block":
-        """self^{-1} rhs: X^{-1} [R_X, R_Y - Y (S kron I)] with S = T^{-1} R_T."""
+    def solve(self, rhs: "_Block", out: "_Block") -> "_Block":
+        """out = self^{-1} rhs = X^{-1} [R_X, R_Y - Y (S kron I)], with
+        S = T^{-1} R_T; overwrites `rhs`."""
         n = self.f.shape[0]
         s = np.linalg.solve(self.t, rhs.t)
-        g = rhs.f.copy()
-        g[:, n:] -= self._mix(s)
-        return _Block(np.linalg.solve(self.f[:, :n], g), s)
+        rhs.f[:, n:] -= self._mix(s, out)
+        x_inv = scipy.linalg.inv(self.f[:, :n], check_finite=False)
+        np.matmul(x_inv, rhs.f, out=out.f)
+        out.t = s
+        return out
 
 
 def _pade13(b, ident):
-    """(U, V) of the order-13 Pade approximant (V - U)^{-1} (V + U) to exp(b).
-
-    `b` and `ident` are both ndarrays or both `_Block`s.
-    """
+    """(U, V) of the order-13 Pade approximant (V - U)^{-1} (V + U) to exp(b)."""
     b2 = b @ b
     b4 = b2 @ b2
     b6 = b2 @ b4
@@ -145,12 +166,12 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     For 1 <= k <= 3 this is the n x (k + 1) n top block row of exp(W), with
     W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the k x k upper shift; it
     is well defined for singular A. W is never formed: the Pade 13 scaling
-    and squaring runs on `_Block`s, and before each squaring the entries
-    below eps^2 times the largest are set to zero. The scaling brings
-    ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at most theta_13,
-    where the approximant's backward error is at most the unit roundoff.
-    For k = 0, `a` may also be a (G, n, n) stack (`_expm_stack`); member i
-    of the result equals `expm_dense(a[i])` bitwise.
+    and squaring runs on `_Block`s (`_phi_row`), and before each squaring
+    the entries below eps^2 times the largest are set to zero. The scaling
+    brings ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at most
+    theta_13, where the approximant's backward error is at most the unit
+    roundoff. For k = 0, `a` may also be a (G, n, n) stack (`_expm_stack`);
+    member i of the result equals `expm_dense(a[i])` bitwise.
     Raises ValueError on a non-square or non-finite input and OverflowError
     on overflow.
     """
@@ -169,25 +190,62 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     if k == 0:
         r = _expm_stack(a.reshape(-1, n, n)).reshape(a.shape)
     else:
-        norm = max(float(np.max(np.sum(np.abs(a), axis=0))), 1.0)
-        squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
-        scale = 2.0 ** squarings
-        ident = np.zeros((n, (k + 1) * n), dtype=np.promote_types(a.dtype, np.float64))
-        ident[:, :n] = np.eye(n)
-        w = np.zeros_like(ident)  # top block row [A, I, 0, ...] of W
-        w[:, :n] = a
-        w[:, n:2 * n] = np.eye(n)
-        b = _Block(w / scale, np.eye(k, k=1) / scale)
-        u, v = _pade13(b, _Block(ident, np.eye(k)))
-        blk = (v - u).solve(v + u)
-        for _ in range(squarings):
-            mag = np.abs(blk.f)
-            blk.f[mag < _DROP * mag.max()] = 0.0
-            blk = blk @ blk
-        r = blk.f
+        r = _phi_row(a, k)
     if not np.isfinite(r).all():
         raise OverflowError("expm_dense: overflow during squaring phase")
     return r
+
+
+def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
+    """The top block row of exp(W) for `expm_dense(a, k)`, 1 <= k <= 3.
+
+    Every product, Pade sum, solve and squaring writes into seven
+    n x (k + 1) n buffers allocated once per call. Six of them are one
+    allocation, freed whole at return, which the C allocator keeps for the
+    next call instead of handing it back to the system (whose fresh pages
+    would fault in again). The seventh, allocated alone, holds the Pade
+    term P and then the result: the solve writes into it or into b6,
+    whichever makes the last squaring end there, so the returned row keeps
+    no scratch alive.
+    """
+    n = a.shape[0]
+    norm = max(float(np.max(np.sum(np.abs(a), axis=0))), 1.0)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
+    scale = 2.0 ** squarings
+    dtype = np.promote_types(a.dtype, np.float64)
+    b, b2, b4, b6, s, tmp = (_Block(f) for f in np.empty((6, n, (k + 1) * n), dtype))
+    p = _Block(np.empty((n, (k + 1) * n), dtype))
+    # b = W / scale, from W's top block row [A, I, 0, ...]
+    b.f[:, n:] = 0.0
+    np.divide(a, scale, out=b.f[:, :n])
+    b.f.reshape(-1)[n::(k + 1) * n + 1] = 1.0 / scale  # diagonal of I / scale
+    b.t = np.eye(k, k=1) / scale
+
+    # the order-13 Pade approximant, term by term in the order of `_pade13`
+    c = _PADE13
+    b.product(b, b2, tmp)
+    b2.product(b2, b4, tmp)
+    b2.product(b4, b6, tmp)
+    b6.scaled(c[13], s).add([(c[11], b4), (c[9], b2)], tmp)
+    b6.product(s, p, tmp).add([(c[7], b6), (c[5], b4), (c[3], b2), (c[1], None)], tmp)
+    u = b.product(p, s, tmp)
+    b6.scaled(c[12], p).add([(c[10], b4), (c[8], b2)], tmp)
+    v = b6.product(p, b, tmp).add([(c[6], b6), (c[4], b4), (c[2], b2), (c[0], None)], tmp)
+    np.subtract(v.f, u.f, out=b4.f)
+    b4.t = v.t - u.t
+    np.add(v.f, u.f, out=b2.f)
+    b2.t = v.t + u.t
+    first, second = (p, b6) if squarings % 2 == 0 else (b6, p)
+    blk, spare = b4.solve(b2, first), second
+
+    mag = tmp.f.real  # |F| in the scratch buffer, free between products
+    drop = np.empty(mag.shape, dtype=bool)
+    for _ in range(squarings):
+        np.abs(blk.f, out=mag)
+        np.less(mag, _DROP * mag.max(), out=drop)
+        np.copyto(blk.f, 0.0, where=drop)
+        blk, spare = blk.product(blk, spare, tmp), blk
+    return blk.f
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
@@ -406,11 +464,14 @@ def _norms(w: np.ndarray) -> np.ndarray:
 class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
 
-    DenseStored mode precomputes phi_1..phi_{order_max}(dt A_i) once for
-    each of G operators A_i and applies them by matrix-vector products.
-    They are stored in one (order_max, G, L, L) array, each zero-padded to
-    the largest size L, so one `apply` serves all of them on a (G, L) stack.
-    KrylovAction mode runs one Arnoldi process per application at
+    DenseStored mode precomputes phi_1..phi_{order_max}(dt A_i) for G
+    operators A_i, one `expm_dense` build per distinct operator, and
+    applies them by matrix products on a (G, L) stack, one row per
+    operator. When every A_i is the same matrix, entry k - 1 of `_cached`
+    is that one phi_k, an L x L view into its build, applied to the whole
+    stack as one gemm. Otherwise it is a (G, L, L) stack of the phi_k(dt
+    A_i), each zero-padded to the largest size L, applied as one batched
+    product. KrylovAction mode runs one Arnoldi process per application at
     KRYLOV_TOL. Given a (G, L) stack, A must be block diagonal with G
     blocks of size L that act on the flattened stack, and every block is
     one member of that process. The dimension of every member is appended
@@ -422,23 +483,35 @@ class PhiEvaluator:
     dt: float
     order_max: int
     _op: object = field(repr=False, default=None)
-    _cached: np.ndarray = field(repr=False, default=None)
+    _cached: object = field(repr=False, default=None)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
     @classmethod
     def dense(cls, ops: list, dt: float, order_max: int) -> "PhiEvaluator":
-        """DenseStored evaluator of the `BandedSparseMatrix` operators `ops`:
-        entry [k - 1, i] of the stored array is phi_k(dt A_i), zero-padded
-        to the largest size."""
-        phis = [phi_dense_all(dt * a.to_dense(), order_max)[1:] for a in ops]
-        width = max(len(p[0]) for p in phis)
-        stack = np.zeros((order_max, len(phis), width, width),
-                         dtype=np.result_type(*(p[0] for p in phis)))
-        for i, p in enumerate(phis):
-            n = len(p[0])
-            stack[:, i, :n, :n] = p
-        return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=stack)
+        """DenseStored evaluator of the `BandedSparseMatrix` operators `ops`.
+
+        Operators with equal (size, rows, cols, vals) share one build.
+        Entry k - 1 of the stored sequence is phi_k(dt A) itself when all
+        operators are one A, else the (G, L, L) zero-padded stack whose
+        member i is phi_k(dt A_i).
+        """
+        keys = [(a.n_rows, a.rows.tobytes(), a.cols.tobytes(), a.vals.tobytes())
+                for a in ops]
+        built = {}
+        for key, a in zip(keys, ops):
+            if key not in built:
+                built[key] = phi_dense_all(dt * a.to_dense(), order_max)[1:]
+        if len(built) == 1:
+            (cached,) = built.values()
+        else:
+            width = max(a.n_rows for a in ops)
+            cached = np.zeros((order_max, len(ops), width, width),
+                              dtype=np.result_type(*(p[0] for p in built.values())))
+            for i, key in enumerate(keys):
+                n = ops[i].n_rows
+                cached[:, i, :n, :n] = built[key]
+        return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=cached)
 
     @classmethod
     def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
@@ -451,7 +524,10 @@ class PhiEvaluator:
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            return (self._cached[k - 1] @ vec[..., None]).reshape(vec.shape)
+            phi = self._cached[k - 1]
+            if phi.ndim == 2:  # one phi_k for every row: one gemm
+                return vec @ phi.T
+            return (phi @ vec[..., None]).reshape(vec.shape)
         result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
         self.krylov_dims.extend(m_used.tolist())

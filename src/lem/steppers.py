@@ -4,12 +4,15 @@
 once on data frozen at t_n and gathers the interiors: the local states are
 one flat vector, the residual is two sparse matvecs (the block-diagonal
 local operators and the stacked exterior couplings), every phi application
-is one call on the zero-padded stack of all subdomains (one batched dense
-product, or one Arnoldi process with every subdomain a member), and one
-scatter keeps the interiors. RK4 and Crank-Nicolson step the whole mesh
-through the same loop on the one-subdomain partition, and `run_global` is
-`run_lem` on that partition for every method, so all methods share one
-loop, one timer and one report.
+is one call on the zero-padded stack of all subdomains, and one scatter
+keeps the interiors. Dense phi is built once per distinct local operator:
+when every window restricts to the same matrix, its one phi_k acts on the
+whole stack as a single gemm, else the per-subdomain phi_k act as one
+batched product. Krylov phi is one Arnoldi process with every subdomain a
+member. RK4 and Crank-Nicolson step the whole mesh through the same loop
+on the one-subdomain partition, and `run_global` is `run_lem` on that
+partition for every method, so all methods share one loop, one timer and
+one report.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -112,9 +115,10 @@ class _StackedStep:
     `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
     A_i v_i + H_i u bitwise. `phi_eval` is one evaluator for all
     subdomains on the zero-padded (D, L) stack of `Partition`: with
-    DenseStored phi it stacks the subdomains' stored phi_k, with
-    KrylovAction phi it runs every subdomain as one member of a single
-    Arnoldi process on `a_sum` moved to the stack positions.
+    DenseStored phi it holds the subdomains' phi_k, one build per distinct
+    local operator (`PhiEvaluator.dense`), with KrylovAction phi it runs
+    every subdomain as one member of a single Arnoldi process on `a_sum`
+    moved to the stack positions.
     """
 
     __slots__ = ("system", "part", "dt", "stage3", "a_sum", "halo", "g_shift",

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
+import lem.expm
 from lem import (
     BandedSparseMatrix,
     PhiEvaluator,
@@ -20,14 +22,16 @@ from lem import (
     phi_k_dense,
     verify_decay,
 )
-from lem.expm import (KRYLOV_CHECK_EVERY, KRYLOV_M_MAX, _phi_action_krylov,
-                      phi_hessenberg_e1)
+from lem.expm import (_THETA13, KRYLOV_CHECK_EVERY, KRYLOV_M_MAX,
+                      _phi_action_krylov, phi_hessenberg_e1)
 from lem.models import (
     build_advdiff_2d,
     build_advection_dirichlet_1d,
     build_burgers_1d,
+    build_porous_1d,
     build_schrodinger_1d,
 )
+from lem.partition import make_partition
 
 
 def random_banded(n, half_bw, rng, scale=1.0):
@@ -168,6 +172,23 @@ class TestStructuredPhi:
         a = 0.05 * system.jacobian(system.initial).to_dense()
         assert_blocks_close(phi_dense_all(a, 3), augmented_phis(a, 3), 1e-12)
 
+    def test_porous_jacobian_at_workload_step(self):
+        # ||dt J||_1 = 96.5: five squarings of the k = 1 build
+        system = build_porous_1d(400, 10.0)
+        a = 0.005 * system.jacobian(system.initial).to_dense()
+        assert math.ceil(math.log2(np.abs(a).sum(axis=0).max() / _THETA13)) == 5
+        assert_blocks_close(phi_dense_all(a, 1), augmented_phis(a, 1), 1e-12)
+
+    def test_complex_schrodinger_window(self):
+        # the first (wrapping) window of the D = 4, B = 20 split of n = 400,
+        # at the step of mu = 2: dt = 2 dx^2 / (1/2)
+        system = build_schrodinger_1d(400, 10.0, 10.0, 0.5)
+        window = make_partition(system.mesh, 4, 20).locals[0]
+        dt = 2.0 * system.mesh.dx[0] ** 2 / 0.5
+        a = dt * system.linear_matrix.restrict(window, window).to_dense()
+        assert a.shape == (140, 140) and np.iscomplexobj(a)
+        assert_blocks_close(phi_dense_all(a, 1), augmented_phis(a, 1), 1e-12)
+
     def test_top_block_row_shape(self):
         a = np.random.default_rng(2).standard_normal((7, 7))
         for k in range(4):
@@ -303,6 +324,71 @@ class TestKrylov:
             assert np.linalg.norm(wd - wk) <= 1e-9 * np.linalg.norm(wd)
         assert len(ev_k.krylov_dims) == 2
         assert all(1 <= m <= 60 for m in ev_k.krylov_dims)
+
+
+# dense operators of sizes 4 and 7, real and complex; pool members 0 and 1
+# are equal, so two picks of them share one phi build
+_POOL_RNG = np.random.default_rng(29)
+OPERATOR_POOL = [random_banded(4, 1, _POOL_RNG)]
+OPERATOR_POOL += [OPERATOR_POOL[0].copy(),
+                  random_banded(4, 1, _POOL_RNG, scale=3.0),
+                  random_banded(7, 2, _POOL_RNG),
+                  random_banded(7, 2, _POOL_RNG) + 1j * random_banded(7, 1, _POOL_RNG)]
+
+
+class TestDistinctBuilds:
+    """PhiEvaluator.dense builds phi once per distinct operator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(OPERATOR_POOL) - 1), min_size=1,
+                          max_size=6),
+           order_max=st.integers(1, 3), dt=st.floats(0.01, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(picks=[3, 3, 3], order_max=2, dt=0.5, seed=0)
+    @example(picks=[4, 4], order_max=1, dt=0.5, seed=0)
+    @example(picks=[0, 1, 4, 2, 0], order_max=3, dt=0.5, seed=0)
+    def test_one_build_per_distinct_operator(self, picks, order_max, dt, seed):
+        # a fresh operator per pick: sharing follows the entries, not identity
+        ops = [BandedSparseMatrix.from_dense(OPERATOR_POOL[i]) for i in picks]
+        distinct = {0 if i == 1 else i for i in picks}
+        calls = []
+        build = lem.expm.expm_dense
+
+        def counted(a, k=0):
+            calls.append(a.shape)
+            return build(a, k)
+
+        with mock.patch.object(lem.expm, "expm_dense", counted):
+            ev = PhiEvaluator.dense(ops, dt, order_max)
+        assert len(calls) == len(distinct)
+        shared = len(distinct) == 1
+        assert all(phi.ndim == (2 if shared else 3) for phi in ev._cached)
+
+        rng = np.random.default_rng(seed)
+        width = max(a.n_rows for a in ops)
+        x = np.zeros((len(ops), width), dtype=complex)
+        for i, a in enumerate(ops):
+            x[i, :a.n_rows] = (rng.standard_normal(a.n_rows)
+                               + 1j * rng.standard_normal(a.n_rows))
+        for k in range(1, order_max + 1):
+            got = ev.apply(k, x)
+            assert got.shape == x.shape
+            for i, a in enumerate(ops):
+                n = a.n_rows
+                phi = phi_dense_all(dt * a.to_dense(), order_max)[k]
+                want = phi @ x[i, :n]
+                scale = np.abs(phi).sum(axis=1).max() * np.abs(x[i]).max()
+                assert np.abs(got[i, :n] - want).max() <= 1e-14 * scale
+                assert not np.any(got[i, n:])  # padding stays zero
+
+    def test_single_operator_keeps_views_of_its_build(self):
+        a = BandedSparseMatrix.from_dense(OPERATOR_POOL[3])
+        ev = PhiEvaluator.dense([a], 0.5, 3)
+        phis = ev._cached
+        assert len(phis) == 3 and all(p.shape == (7, 7) for p in phis)
+        assert all(p.base is phis[0].base for p in phis)  # one build result
+        want = phi_dense_all(0.5 * a.to_dense(), 3)[1:]
+        assert all(np.array_equal(p, w) for p, w in zip(phis, want))
 
 
 def random_hessenberg(m, rng, scale, complex_):

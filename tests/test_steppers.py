@@ -550,19 +550,27 @@ class TestStackedStep:
             assert len(log) == len(phi.krylov_dims) == part.D
             return
 
-        # one (D, L, L) stack: member i is subdomain i's own phi_k in its
-        # leading block, zeros around it
+        # subdomain i's phi_k is its own build bitwise: the one L x L phi_k
+        # when every window restricts to the same matrix, else member i of
+        # a (D, L, L) stack, in its leading block with zeros around it
         jac = (system.linear_matrix if system.is_linear
                else system.jacobian(system.initial))
-        for i, m_i in enumerate(part.locals):
-            n_i = len(m_i)
-            own = PhiEvaluator.dense([jac.restrict(m_i, m_i)], cfg.dt,
-                                     phi.order_max)._cached
-            assert phi._cached.shape == (phi.order_max, part.D, part.width,
-                                         part.width)
-            for stack, own_k in zip(phi._cached, own):
-                assert np.array_equal(stack[i, :n_i, :n_i], own_k[0])
-                assert not np.any(stack[i, n_i:]) and not np.any(stack[i, :, n_i:])
+        locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
+        shared = all(a.shape == locs[0].shape
+                     and np.array_equal(a.to_dense(), locs[0].to_dense())
+                     for a in locs)
+        assert len(phi._cached) == phi.order_max
+        for i, a in enumerate(locs):
+            n_i = a.n_rows
+            own = PhiEvaluator.dense([a], cfg.dt, phi.order_max)._cached
+            for phi_k, own_k in zip(phi._cached, own):
+                assert own_k.shape == (n_i, n_i)
+                if shared:
+                    assert np.array_equal(phi_k, own_k)
+                    continue
+                assert phi_k.shape == (part.D, part.width, part.width)
+                assert np.array_equal(phi_k[i, :n_i, :n_i], own_k)
+                assert not np.any(phi_k[i, n_i:]) and not np.any(phi_k[i, :, n_i:])
 
     @settings(max_examples=30, deadline=None)
     @given(stepping_cases())
@@ -590,3 +598,25 @@ class TestStackedStep:
             assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
             assert np.all(np.diag(stack[i])[:22] > 0)
         assert step.a_sum.shape == (100, 100) and step.halo.shape == (100, 64)
+
+    def test_translation_invariant_windows_share_one_phi(self):
+        # every window of a periodic advection-diffusion split restricts to
+        # the same matrix: one phi build, applied to the (D, L) stack as one
+        # L x L matrix, and the run still matches the per-subdomain steps
+        system = build_advdiff_1d(64, 10.0, 1.0, 0.025)
+        part = make_partition(system.mesh, 4, 6)
+        cfg = StepperConfig(method="ExpEuler", dt=0.1, t_end=0.5)
+        build = lem.expm.expm_dense
+        calls = []
+
+        def counted(a, k=0):
+            calls.append(a.shape)
+            return build(a, k)
+
+        with mock.patch.object(lem.expm, "expm_dense", counted):
+            step = _StackedStep(system, part, system.initial, 0.0, cfg)
+        assert calls == [(28, 28)]
+        assert [phi.shape for phi in step.phi_eval._cached] == [(28, 28)]
+        u_ref = reference_run_lem(system, part, cfg)
+        rep = run_lem(system, part, cfg)
+        assert np.max(np.abs(rep.final_state - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
