@@ -21,7 +21,7 @@ The local exponential method needs three flavors of exponential machinery:
   (APNUM 2009). Before each squaring, entries below eps^2 times the
   largest are dropped, since their subnormal fill-in would slow the
   squarings several times over. `PhiEvaluator.dense` builds the stored
-  phi_k of a list of operators once per distinct operator.
+  phi_0 ... phi_k of a list of operators once per distinct operator.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -464,19 +464,22 @@ def _norms(w: np.ndarray) -> np.ndarray:
 class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
 
-    DenseStored mode precomputes phi_1..phi_{order_max}(dt A_i) for G
+    DenseStored mode precomputes phi_0..phi_{order_max}(dt A_i) for G
     operators A_i, one `expm_dense` build per distinct operator, and
     applies them by matrix products on a (G, L) stack, one row per
-    operator. When every A_i is the same matrix, entry k - 1 of `_cached`
-    is that one phi_k, an L x L view into its build, applied to the whole
+    operator. When every A_i is the same matrix, entry k of `_cached` is
+    that one phi_k, an L x L view into its build, applied to the whole
     stack as one gemm. Otherwise it is a (G, L, L) stack of the phi_k(dt
     A_i), each zero-padded to the largest size L, applied as one batched
-    product. KrylovAction mode runs one Arnoldi process per application at
-    KRYLOV_TOL. Given a (G, L) stack, A must be block diagonal with G
-    blocks of size L that act on the flattened stack, and every block is
-    one member of that process. The dimension of every member is appended
-    to `krylov_dims`, and members that hit KRYLOV_M_MAX unconverged are
-    counted in `krylov_misses`. Both evaluate the same mathematical object.
+    product. phi_0 = exp(dt A_i), the leading block of every build, is
+    kept for callers that compose a step from the stored matrices
+    (`stored`); `apply` takes k >= 1. KrylovAction mode runs one Arnoldi
+    process per application at KRYLOV_TOL. Given a (G, L) stack, A must
+    be block diagonal with G blocks of size L that act on the flattened
+    stack, and every block is one member of that process. The dimension
+    of every member is appended to `krylov_dims`, and members that hit
+    KRYLOV_M_MAX unconverged are counted in `krylov_misses`. Both
+    evaluate the same mathematical object.
     """
 
     mode: str
@@ -492,21 +495,21 @@ class PhiEvaluator:
         """DenseStored evaluator of the `BandedSparseMatrix` operators `ops`.
 
         Operators with equal (size, rows, cols, vals) share one build.
-        Entry k - 1 of the stored sequence is phi_k(dt A) itself when all
-        operators are one A, else the (G, L, L) zero-padded stack whose
-        member i is phi_k(dt A_i).
+        Entry k of the stored sequence, 0 <= k <= order_max, is phi_k(dt A)
+        itself when all operators are one A, else the (G, L, L)
+        zero-padded stack whose member i is phi_k(dt A_i).
         """
         keys = [(a.n_rows, a.rows.tobytes(), a.cols.tobytes(), a.vals.tobytes())
                 for a in ops]
         built = {}
         for key, a in zip(keys, ops):
             if key not in built:
-                built[key] = phi_dense_all(dt * a.to_dense(), order_max)[1:]
+                built[key] = phi_dense_all(dt * a.to_dense(), order_max)
         if len(built) == 1:
             (cached,) = built.values()
         else:
             width = max(a.n_rows for a in ops)
-            cached = np.zeros((order_max, len(ops), width, width),
+            cached = np.zeros((order_max + 1, len(ops), width, width),
                               dtype=np.result_type(*(p[0] for p in built.values())))
             for i, key in enumerate(keys):
                 n = ops[i].n_rows
@@ -517,14 +520,26 @@ class PhiEvaluator:
     def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
         return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
 
+    def stored(self, k: int) -> np.ndarray:
+        """The stored phi_k(dt A), 0 <= k <= order_max (DenseStored only):
+        one L x L matrix when every operator is one A, else the (G, L, L)
+        zero-padded stack (shared, treat as read-only)."""
+        if self.mode != "DenseStored":
+            raise ValueError("only DenseStored mode stores phi matrices")
+        if not 0 <= k <= self.order_max:
+            raise ValueError(f"phi order {k} outside stored range 0..{self.order_max}")
+        return self._cached[k]
+
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
         """phi_k(dt A) vec, in the shape of `vec`: one vector (of a single
         operator), or a (G, L) stack with one row per operator (DenseStored)
-        or per member of a block-diagonal operator (KrylovAction)."""
+        or per member of a block-diagonal operator (KrylovAction).
+        DenseStored also takes leading axes, (..., G, L), each (G, L) slice
+        applied alike."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            phi = self._cached[k - 1]
+            phi = self._cached[k]
             if phi.ndim == 2:  # one phi_k for every row: one gemm
                 return vec @ phi.T
             return (phi @ vec[..., None]).reshape(vec.shape)

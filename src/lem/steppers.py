@@ -2,17 +2,21 @@
 
 `run_lem` is the one stepping loop. Per step it advances all subdomains at
 once on data frozen at t_n and gathers the interiors: the local states are
-one flat vector, the residual is two sparse matvecs (the block-diagonal
-local operators and the stacked exterior couplings), every phi application
-is one call on the zero-padded stack of all subdomains, and one scatter
-keeps the interiors. Dense phi is built once per distinct local operator:
-when every window restricts to the same matrix, its one phi_k acts on the
-whole stack as a single gemm, else the per-subdomain phi_k act as one
-batched product. Krylov phi is one Arnoldi process with every subdomain a
-member. RK4 and Crank-Nicolson step the whole mesh through the same loop
-on the one-subdomain partition, and `run_global` is `run_lem` on that
-partition for every method, so all methods share one loop, one timer and
-one report.
+one flat vector, and one scatter keeps the interiors. Dense phi is built
+once per distinct local operator, phi_0 included. With dense phi, an
+ExpEuler or ExpRB2 step is, between rebuilds, an affine map of the old
+state, so it is composed once per rebuild: a step is one sparse matvec
+that reads every window and its exterior couplings, and one product with
+the composed propagators P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i]
+(one gemm when every window shares P_i, else one batched product; at D=1
+one gemv with phi_0), plus the ExpRB2 shift. ExpRB3 on nonlinear systems
+and Krylov phi step the residual instead: two sparse matvecs (the
+block-diagonal local operators and the stacked exterior couplings) and
+phi applications on the zero-padded stack of all subdomains; Krylov phi
+is one Arnoldi process with every subdomain a member. RK4 and
+Crank-Nicolson step the whole mesh through the same loop on the
+one-subdomain partition, and `run_global` is `run_lem` on that partition
+for every method, so all methods share one loop, one timer and one report.
 
 Linear systems are advanced exactly per step, nonlinear systems through
 their Jacobian linearization. Freezing policy: the Jacobian and its phi
@@ -109,20 +113,42 @@ class _StackedStep:
     """Every subdomain's data frozen at one rebuild, stacked for one step.
 
     The local states live on one flat vector, the M_i concatenated in
-    partition order (`Partition.flat_locals`). `a_sum` is diag(A_1 ... A_D)
-    acting on it and `halo` the stacked exterior couplings [H_1; ...; H_D]
-    acting on the global state, both built from each subdomain's own
-    `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
-    A_i v_i + H_i u bitwise. `phi_eval` is one evaluator for all
-    subdomains on the zero-padded (D, L) stack of `Partition`: with
-    DenseStored phi it holds the subdomains' phi_k, one build per distinct
-    local operator (`PhiEvaluator.dense`), with KrylovAction phi it runs
-    every subdomain as one member of a single Arnoldi process on `a_sum`
-    moved to the stack positions.
+    partition order (`Partition.flat_locals`), and `phi_eval` is one
+    evaluator for all subdomains on the zero-padded (D, L) stack of
+    `Partition`. A step takes one of two forms.
+
+    Composed (DenseStored phi, every method but ExpRB3 on a nonlinear
+    system). Between rebuilds the step of subdomain i,
+    v_i + dt phi_1(dt A_i)(A_i v_i + H_i u + g_i), is an affine map of the
+    old state: phi_0(dt A_i) v_i + dt phi_1(dt A_i) E_i h_i + c_i, with
+    v_i = u[M_i], h_i the exterior couplings H_i u at the window's edge
+    rows (the rows that have any), E_i the unit columns at those rows and
+    c_i = dt phi_1(dt A_i) g_i the ExpRB2 shift (none on linear systems).
+    `gather` is one sparse matrix that reads [v_i, h_i] of every window
+    into row i of a (D, L + e) stack, e the most edge rows of any window:
+    the window's nodes, then its `halo` edge rows. `prop` holds
+    P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i], zero-padded like the
+    stack: one (L, L + e) matrix when every window shares its phi and its
+    edge rows, applied as one gemm, else a (D, L, L + e) stack applied as
+    one batched product. The edge columns and c_i come from
+    `PhiEvaluator.apply` at the rebuild, so a step costs one sparse matvec
+    and one product. At D=1 there is no exterior and P is phi_0 itself.
+
+    Residual (ExpRB3 on a nonlinear system, whose correction stage needs
+    the nonlinear remainder, and KrylovAction, which stores no phi).
+    `a_sum` is diag(A_1 ... A_D) acting on the flat vector and `halo` the
+    stacked exterior couplings [H_1; ...; H_D] acting on the global state,
+    built from each subdomain's own `restrict`/`halo` rows, so
+    `a_sum v + halo u` equals every local A_i v_i + H_i u bitwise; each
+    phi_k application is one call on the stack. With DenseStored phi
+    `phi_eval` holds the subdomains' phi_k, one build per distinct local
+    operator (`PhiEvaluator.dense`), with KrylovAction phi it runs every
+    subdomain as one member of a single Arnoldi process on `a_sum` moved
+    to the stack positions.
     """
 
-    __slots__ = ("system", "part", "dt", "stage3", "a_sum", "halo", "g_shift",
-                 "phi_eval")
+    __slots__ = ("system", "part", "dt", "stage3", "phi_eval", "gather",
+                 "prop", "shift", "a_sum", "halo", "g_shift")
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
                  u: np.ndarray, t_n: float, cfg: StepperConfig):
@@ -137,12 +163,18 @@ class _StackedStep:
         self.stage3 = cfg.method == "ExpRB3" and not system.is_linear
         order_max = 3 if self.stage3 else 1
         a_locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
+        halos = [jac.halo(m_i, m_i) for m_i in part.locals]
         self.system, self.part, self.dt = system, part, cfg.dt
-        self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
-        self.halo = BandedSparseMatrix.vstack(
-            [jac.halo(m_i, m_i) for m_i in part.locals])
-        self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
+        self.prop = None
 
+        if cfg.phi_mode == "DenseStored":
+            self.phi_eval = PhiEvaluator.dense(a_locs, cfg.dt, order_max)
+            if not self.stage3:
+                self._compose(halos, g_shift)
+                return
+        self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
+        self.halo = BandedSparseMatrix.vstack(halos)
+        self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
         if cfg.phi_mode == "KrylovAction":
             a, pos = self.a_sum, part.stack_positions
             if pos is not None:
@@ -150,8 +182,41 @@ class _StackedStep:
                 a = BandedSparseMatrix(n_stack, n_stack, pos[a.rows],
                                        pos[a.cols], a.vals)
             self.phi_eval = PhiEvaluator.krylov(a, cfg.dt, order_max)
-        else:
-            self.phi_eval = PhiEvaluator.dense(a_locs, cfg.dt, order_max)
+
+    def _compose(self, halos: List[BandedSparseMatrix],
+                 g_shift: Optional[np.ndarray]) -> None:
+        """Set `gather`, `prop` and `shift` of the composed step."""
+        part, dt, phi = self.part, self.dt, self.phi_eval
+        self.shift = (None if g_shift is None
+                      else dt * self.phi(1, g_shift[part.flat_locals]))
+        self.prop, self.gather = phi.stored(0), None
+        if part.D == 1:  # the window is the whole mesh, with no exterior
+            return
+        d, width = part.D, part.width
+        edges = [np.unique(h.rows) for h in halos]  # local rows, ascending
+        e = max(r.size for r in edges)
+        row_len = width + e
+        rows, cols, vals = [], [], []
+        for i, (m_i, h, r) in enumerate(zip(part.locals, halos, edges)):
+            rows += [i * row_len + np.arange(len(m_i)),
+                     i * row_len + width + np.searchsorted(r, h.rows)]
+            cols += [m_i.indices, h.cols]
+            vals += [np.ones(len(m_i)), h.vals]
+        self.gather = BandedSparseMatrix(
+            d * row_len, part.n_total, np.concatenate(rows),
+            np.concatenate(cols), np.concatenate(vals))
+
+        # slot j of window i is the unit vector at its j-th edge row
+        units = np.zeros((e, d, width))
+        for i, r in enumerate(edges):
+            units[np.arange(r.size), i, r] = 1.0
+        if self.prop.ndim == 2 and all(np.array_equal(r, edges[0])
+                                       for r in edges):
+            units = units[:, 0]  # one P for every window
+        edge_cols = dt * np.moveaxis(phi.apply(1, units), 0, -1)
+        self.prop = np.concatenate(
+            (np.broadcast_to(self.prop, edge_cols.shape[:-1] + (width,)),
+             edge_cols), axis=-1)
 
     def phi(self, k: int, x: np.ndarray) -> np.ndarray:
         """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
@@ -165,7 +230,21 @@ class _StackedStep:
 
     def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
         """One step of every subdomain from u at t_n, as one flat vector."""
-        system, dt, idx = self.system, self.dt, self.part.flat_locals
+        part = self.part
+        if self.prop is not None:
+            if self.gather is None:  # D=1: no exterior, one gemv
+                y = self.prop @ u[part.flat_locals]
+            else:
+                x = self.gather.matvec(u).reshape(part.D, -1)
+                if self.prop.ndim == 2:  # one P for every window: one gemm
+                    y = (x @ self.prop.T).reshape(-1)
+                else:
+                    y = np.matmul(self.prop, x[..., None]).reshape(-1)
+            if part.stack_positions is not None:
+                y = y[part.stack_positions]
+            return y if self.shift is None else y + self.shift
+
+        system, dt, idx = self.system, self.dt, part.flat_locals
         v = u[idx]
         if self.stage3:
             # stages evaluate the true local rhs with exterior frozen at t_n;
@@ -173,16 +252,17 @@ class _StackedStep:
             f_n = system.rhs(u, t_n)[idx]
             u_2 = v + dt * self.phi(1, f_n)
             f_2 = np.empty_like(u_2)
-            off = self.part.offsets
-            for i, m_i in enumerate(self.part.locals):
+            off = part.offsets
+            for i, m_i in enumerate(part.locals):
                 full = u.copy()
                 full[m_i.indices] = u_2[off[i]:off[i + 1]]
                 f_2[off[i]:off[i + 1]] = system.rhs(full, t_n)[m_i.indices]
             dn = f_2 - f_n - self.a_sum.matvec(u_2 - v)
             return u_2 + 2 * dt * self.phi(3, dn)
 
-        # ExpEuler on linear systems; ExpRB2 propagates the frozen
-        # quasi-linearization, whose affine shift g_shift was set at refresh
+        # KrylovAction: ExpEuler on linear systems; ExpRB2 propagates the
+        # frozen quasi-linearization, whose affine shift g_shift was set at
+        # refresh
         w = self.a_sum.matvec(v) + self.halo.matvec(u)
         if self.g_shift is not None:
             w = w + self.g_shift

@@ -4,6 +4,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -126,15 +127,33 @@ class TestPhiDense:
         assert np.allclose(np.diag(got), np.expm1(z) / z, atol=1e-14)
 
 
+# largest augmented matrix whose oracle exponential is taken in mpmath
+# (about 0.35 s at 50 digits); larger ones take scipy's
+MPMATH_MAX = 16
+
+
 def augmented_phis(a, k):
-    """[phi_0(A) .. phi_k(A)] from scipy's expm of the explicit (k+1)n matrix
-    [[A, I, 0, ...], [0, 0, I, ...], ...]."""
+    """[phi_0(A) .. phi_k(A)] from the exponential of the explicit (k+1)n
+    matrix [[A, I, 0, ...], [0, 0, I, ...], ...].
+
+    Up to MPMATH_MAX rows that exponential is mpmath's at 50 digits, else
+    scipy's. On small matrices of large norm scipy's is not accurate
+    enough for the 1e-12 bound: at n=3, k=1, scale 3 (the @example of
+    `test_matches_augmented_oracle`) it is off by 1.05e-12 relative to the
+    50-digit value, where `phi_dense_all` is off by 1.0e-15.
+    """
     n = a.shape[0]
     w = np.zeros(((k + 1) * n, (k + 1) * n), dtype=np.promote_types(a.dtype, np.float64))
     w[:n, :n] = a
     for b in range(k):
         w[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = np.eye(n)
-    e = scipy.linalg.expm(w)
+    if len(w) <= MPMATH_MAX:
+        with mpmath.workdps(50):
+            e = mpmath.expm(mpmath.matrix(w.tolist())).tolist()
+        to_num = complex if np.iscomplexobj(w) else float
+        e = np.array([[to_num(x) for x in row] for row in e], dtype=w.dtype)
+    else:
+        e = scipy.linalg.expm(w)
     return [e[:n, j * n:(j + 1) * n] for j in range(k + 1)]
 
 
@@ -152,6 +171,7 @@ class TestStructuredPhi:
     @given(n=st.integers(1, 40), k=st.integers(1, 3), complex_=st.booleans(),
            scale=st.floats(1e-3, 3.0), shape=st.sampled_from(["full", "singular", "zero"]),
            seed=st.integers(0, 2**32 - 1))
+    @example(n=3, k=1, complex_=False, scale=3.0, shape="full", seed=53818)
     def test_matches_augmented_oracle(self, n, k, complex_, scale, shape, seed):
         rng = np.random.default_rng(seed)
         a = scale * rng.standard_normal((n, n))
@@ -385,10 +405,15 @@ class TestDistinctBuilds:
         a = BandedSparseMatrix.from_dense(OPERATOR_POOL[3])
         ev = PhiEvaluator.dense([a], 0.5, 3)
         phis = ev._cached
-        assert len(phis) == 3 and all(p.shape == (7, 7) for p in phis)
+        assert len(phis) == 4 and all(p.shape == (7, 7) for p in phis)
         assert all(p.base is phis[0].base for p in phis)  # one build result
-        want = phi_dense_all(0.5 * a.to_dense(), 3)[1:]
+        assert all(ev.stored(k) is phis[k] for k in range(4))
+        want = phi_dense_all(0.5 * a.to_dense(), 3)
         assert all(np.array_equal(p, w) for p, w in zip(phis, want))
+        with pytest.raises(ValueError):
+            ev.stored(4)
+        with pytest.raises(ValueError):
+            PhiEvaluator.krylov(a, 0.5, 3).stored(0)
 
 
 def random_hessenberg(m, rng, scale, complex_):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lem.expm
 from lem import (
@@ -16,12 +16,15 @@ from lem import (
     SemiDiscreteSystem,
     StepperConfig,
     build_advdiff_1d,
+    build_advdiff_2d,
+    build_advection_dirichlet_1d,
     build_burgers_1d,
     build_fv_advection_1d,
     build_porous_1d,
     build_schrodinger_1d,
     expm_dense,
     make_partition,
+    phi_k_dense,
     run_global,
     run_lem,
     run_reference,
@@ -550,20 +553,22 @@ class TestStackedStep:
             assert len(log) == len(phi.krylov_dims) == part.D
             return
 
-        # subdomain i's phi_k is its own build bitwise: the one L x L phi_k
-        # when every window restricts to the same matrix, else member i of
-        # a (D, L, L) stack, in its leading block with zeros around it
+        # subdomain i's phi_k, phi_0 included, is its own build bitwise: the
+        # one L x L phi_k when every window restricts to the same matrix,
+        # else member i of a (D, L, L) stack, in its leading block with
+        # zeros around it
         jac = (system.linear_matrix if system.is_linear
                else system.jacobian(system.initial))
         locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
         shared = all(a.shape == locs[0].shape
                      and np.array_equal(a.to_dense(), locs[0].to_dense())
                      for a in locs)
-        assert len(phi._cached) == phi.order_max
+        assert len(phi._cached) == phi.order_max + 1
         for i, a in enumerate(locs):
             n_i = a.n_rows
-            own = PhiEvaluator.dense([a], cfg.dt, phi.order_max)._cached
-            for phi_k, own_k in zip(phi._cached, own):
+            own = PhiEvaluator.dense([a], cfg.dt, phi.order_max)
+            for k in range(phi.order_max + 1):
+                phi_k, own_k = phi.stored(k), own.stored(k)
                 assert own_k.shape == (n_i, n_i)
                 if shared:
                     assert np.array_equal(phi_k, own_k)
@@ -586,18 +591,30 @@ class TestStackedStep:
 
     def test_stack_pads_clipped_ends(self):
         # the clipped Dirichlet end windows are zero-padded to the width of
-        # the unclipped ones, and one (D, L, L) stack holds every phi_k
+        # the unclipped ones: one (D, L, L) stack holds every phi_k, and one
+        # (D, L, L + e) stack every composed P_i, whose edge slots past a
+        # clipped window's one edge row are zero and read nothing
         system = build_porous_1d(64, 10.0)
         part = make_partition(system.mesh, 4, 6)
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
         assert [len(m_i) for m_i in part.locals] == [22, 28, 28, 22]
-        assert step.phi_eval._cached.shape == (1, 4, 28, 28)
-        stack = step.phi_eval._cached[0]
+        assert step.phi_eval._cached.shape == (2, 4, 28, 28)
+        for k in (0, 1):
+            stack = step.phi_eval.stored(k)
+            for i in (0, 3):
+                assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
+                assert np.all(np.diag(stack[i])[:22] > 0)
+        # two edge rows per interior window, one per clipped end window
+        assert step.prop.shape == (4, 28, 30)
+        assert step.gather.shape == (4 * 30, 64) and step.shift.shape == (100,)
+        rows = step.gather.rows
         for i in (0, 3):
-            assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
-            assert np.all(np.diag(stack[i])[:22] > 0)
-        assert step.a_sum.shape == (100, 100) and step.halo.shape == (100, 64)
+            p_i = step.prop[i]
+            assert not np.any(p_i[22:]) and not np.any(p_i[:, 22:28])
+            assert not np.any(p_i[:, 29])
+            assert not np.any((rows >= i * 30 + 22) & (rows < i * 30 + 28))
+            assert not np.any(rows == i * 30 + 29)
 
     def test_translation_invariant_windows_share_one_phi(self):
         # every window of a periodic advection-diffusion split restricts to
@@ -616,7 +633,92 @@ class TestStackedStep:
         with mock.patch.object(lem.expm, "expm_dense", counted):
             step = _StackedStep(system, part, system.initial, 0.0, cfg)
         assert calls == [(28, 28)]
-        assert [phi.shape for phi in step.phi_eval._cached] == [(28, 28)]
+        assert [phi.shape for phi in step.phi_eval._cached] == [(28, 28)] * 2
+        assert step.prop.shape == (28, 30)  # one P_i, two edge rows
         u_ref = reference_run_lem(system, part, cfg)
         rep = run_lem(system, part, cfg)
         assert np.max(np.abs(rep.final_state - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+@st.composite
+def composed_cases(draw):
+    """A composed step of a shipped model: system, partition, config, the
+    state of the rebuild and the state stepped from.
+
+    The families are periodic advection-diffusion, complex Schrodinger,
+    porous ExpRB2 (an affine shift, clipped Dirichlet windows), Dirichlet
+    advection (equal windows share one phi but not their edge rows) and a
+    small 2D rotation, whose edge rows are whole grid columns.
+    """
+    kind = draw(st.sampled_from(("advdiff", "schrodinger", "porous",
+                                 "advection", "rotation")))
+    n = draw(st.integers(16, 64))
+    linear = ("ExpEuler", "ExpRB2", "ExpRB3")
+    if kind == "advdiff":
+        system = build_advdiff_1d(n, 10.0, 1.0, 0.025)
+        methods, dt = linear, draw(st.sampled_from((0.025, 0.1, 0.4)))
+    elif kind == "schrodinger":
+        system = build_schrodinger_1d(n, 10.0, 10.0, 0.5)
+        methods, dt = linear, draw(st.sampled_from((0.0025, 0.01)))
+    elif kind == "porous":
+        system = build_porous_1d(n, 10.0)
+        methods, dt = ("ExpRB2",), draw(st.sampled_from((0.005, 0.02)))
+    elif kind == "advection":
+        system = build_advection_dirichlet_1d(n, 10.0, 1.0)
+        methods, dt = linear, draw(st.sampled_from((0.05, 0.2)))
+    else:
+        system = build_advdiff_2d(draw(st.integers(8, 14)),
+                                  draw(st.integers(4, 6)), 10.0, 10.0)
+        methods, dt = linear, draw(st.sampled_from((0.1, 0.3)))
+    n_axis = system.mesh.n[0]
+    d = draw(st.integers(1, min(6, n_axis // 2)))
+    b_max = 8
+    if system.mesh.boundary[0] == "periodic" and d > 1:
+        b_max = min(b_max, n_axis - -(-n_axis // d))
+    part = make_partition(system.mesh, d, draw(st.integers(0, b_max)))
+    cfg = StepperConfig(method=draw(st.sampled_from(methods)), dt=dt, t_end=dt)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for _ in range(2):
+        noise = rng.standard_normal(system.n)
+        if np.iscomplexobj(system.initial):
+            noise = noise + 1j * rng.standard_normal(system.n)
+        states.append(system.initial + 0.1 * noise)
+    return system, part, cfg, states[0], states[1]
+
+
+def equal_dirichlet_windows(d, b):
+    """A composed case whose d equal windows share one phi, not edge rows."""
+    system = build_advection_dirichlet_1d(48, 10.0, 1.0)
+    u = system.initial + np.linspace(0.0, 0.1, system.n)
+    return (system, make_partition(system.mesh, d, b),
+            StepperConfig(method="ExpEuler", dt=0.2, t_end=0.2), u, u[::-1])
+
+
+class TestComposedStep:
+    @settings(max_examples=80, deadline=None)
+    @given(composed_cases())
+    @example(equal_dirichlet_windows(3, 0))
+    @example(equal_dirichlet_windows(2, 3))
+    def test_matches_residual_formula(self, case):
+        # between rebuilds, one composed step of every subdomain is the
+        # residual step v + dt phi_1(dt A_i)(A_i v + H_i u + g_i), with
+        # A_i, H_i and g frozen at the rebuild state and u any state
+        system, part, cfg, u_build, u = case
+        step = _StackedStep(system, part, u_build, 0.0, cfg)
+        assert step.prop is not None
+        got = step.advance(u, 0.0)
+
+        jac = (system.linear_matrix if system.is_linear
+               else system.jacobian(u_build)).to_dense()
+        g = (np.zeros(system.n) if system.is_linear
+             else system.rhs(u_build, 0.0) - jac @ u_build)
+        want = []
+        for m_i in part.locals:
+            m = m_i.indices
+            phi_1 = phi_k_dense(cfg.dt * jac[np.ix_(m, m)], 1)
+            # (J u)[M_i] is A_i u[M_i] + H_i u
+            want.append(u[m] + cfg.dt * (phi_1 @ (jac[m] @ u + g[m])))
+        want = np.concatenate(want)
+        assert got.shape == want.shape == (part.dof_updates_per_step,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
