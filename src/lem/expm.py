@@ -460,6 +460,15 @@ def _norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(w, w).real)
 
 
+def stack_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p_i x_i for every row x_i of the (..., G, L) stack x: one gemm when p
+    is one matrix shared by every row, else one batched product with the
+    (G, M, L) stack p."""
+    if p.ndim == 2:
+        return x @ p.T
+    return (p @ x[..., None])[..., 0]
+
+
 @dataclass
 class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
@@ -533,16 +542,14 @@ class PhiEvaluator:
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
         """phi_k(dt A) vec, in the shape of `vec`: one vector (of a single
         operator), or a (G, L) stack with one row per operator (DenseStored)
-        or per member of a block-diagonal operator (KrylovAction).
-        DenseStored also takes leading axes, (..., G, L), each (G, L) slice
-        applied alike."""
+        or per member of a block-diagonal operator (KrylovAction), each row
+        zero-padded past its operator's size. DenseStored applies the
+        stored phi_k with `stack_product`, and also takes leading axes,
+        (..., G, L), each (G, L) slice applied alike."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            phi = self._cached[k]
-            if phi.ndim == 2:  # one phi_k for every row: one gemm
-                return vec @ phi.T
-            return (phi @ vec[..., None]).reshape(vec.shape)
+            return stack_product(self._cached[k], vec)
         result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
         self.krylov_dims.extend(m_used.tolist())

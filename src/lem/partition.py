@@ -13,16 +13,13 @@ drivers that restrict an operator to M_i live in `steppers`.
 M_i lists its nodes in window order, not by global index, so a window
 that wraps across a periodic end has the same layout as one that does
 not, and its interior sits at a fixed offset inside it. The drivers
-advance all subdomains at once on one flat local vector: the M_i
-concatenated in partition order (`Partition.flat_locals`, one slice per
-subdomain between consecutive `offsets`). A `Partition` computes at
-construction, for every mesh node, the position in that vector of its
-owner's value (`owner_positions`), and `gather_overwrite` reads it every
-step. It also lays the local problems out for phi: row i of a (D, L)
-stack, L the widest window (`width`), holds M_i in window order and zeros
-after it; `stack_positions` maps each flat entry to its place in that
-stack, and is None when every window has L nodes and the flat vector is
-the stack already.
+advance all subdomains at once on one (D, L) stack, L the widest window
+(`Partition.width`): row i holds M_i in window order (`nodes`, the
+global index of every slot) and zeros after it (`pads`, None when every
+window has L nodes). `to_stack` lays a global vector out that way. A
+`Partition` computes at construction, for every mesh node, the position
+in the flattened stack of its owner's value (`owner_positions`), and
+`gather_overwrite` reads it every step.
 """
 
 from __future__ import annotations
@@ -51,17 +48,17 @@ class Partition:
     locals: List[IndexSet]
     n_total: int
     b_nominal: int = 0
-    flat_locals: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    pads: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
-    stack_positions: Optional[np.ndarray] = field(init=False, repr=False,
-                                                  compare=False)
 
     def __post_init__(self):
         if self.D != len(self.interiors) or self.D != len(self.locals):
             raise ValueError("one interior and one window per subdomain")
-        offsets = np.cumsum([0] + [len(m) for m in self.locals])
+        width = max(len(m_i) for m_i in self.locals)
+        nodes = np.zeros((self.D, width), dtype=np.int64)
+        pads = np.zeros((self.D, width), dtype=bool)
         owners = np.full(self.n_total, -1, dtype=np.int64)
         for i, (m_i, d_i) in enumerate(zip(self.locals, self.interiors)):
             m, d = m_i.indices, d_i.indices
@@ -71,30 +68,32 @@ class Partition:
             if not np.array_equal(m[lead:lead + d.size], d):
                 raise ValueError(
                     f"interior of subdomain {i} is not a run of its window")
-            owners[d] = offsets[i] + lead + np.arange(d.size)
+            owners[d] = i * width + lead + np.arange(d.size)
+            nodes[i, :m.size] = m
+            pads[i, m.size:] = True
         if np.any(owners < 0):
             raise ValueError("interiors must cover every mesh index")
-        flat = np.concatenate([m.indices for m in self.locals])
-        sizes = np.diff(offsets)
-        width = int(sizes.max())
-        stack = None
-        if np.any(sizes != width):
-            # window i's entries, in order, at the front of stack row i
-            stack = np.arange(flat.size) + np.repeat(
-                np.arange(self.D) * width - offsets[:-1], sizes)
-        for arr in (offsets, owners, flat, stack):
+        pads = pads if pads.any() else None
+        for arr in (nodes, pads, owners):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(self, "flat_locals", flat)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "pads", pads)
         object.__setattr__(self, "owner_positions", owners)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "stack_positions", stack)
 
     @property
     def dof_updates_per_step(self) -> int:
         """Total degrees of freedom written per step, buffers included."""
-        return len(self.flat_locals)
+        return sum(len(m_i) for m_i in self.locals)
+
+    def to_stack(self, x: np.ndarray) -> np.ndarray:
+        """The (D, L) stack of the global vector x: x on M_i in window order
+        at the front of row i, zeros at the pads."""
+        out = x[self.nodes]
+        if self.pads is not None:
+            out[self.pads] = 0
+        return out
 
 
 def _block_sizes(n: int, d: int) -> List[int]:
@@ -150,18 +149,18 @@ def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
                      n_total=mesh.n_total, b_nominal=b_eff)
 
 
-def gather_overwrite(part: Partition, local_flat: np.ndarray,
+def gather_overwrite(part: Partition, local: np.ndarray,
                      u_next: np.ndarray) -> np.ndarray:
-    """Assemble the next global state from the flat local result, interiors only.
+    """Assemble the next global state from the local result, interiors only.
 
-    `local_flat` holds every subdomain's result on M_i, concatenated in
-    partition order (`part.flat_locals`). Buffer results are discarded;
-    every global index receives the value computed by its unique owner. The
-    result has the common dtype of `local_flat` and `u_next`.
+    `local` is the flattened (D, L) stack of every subdomain's result, row i
+    on M_i in window order (`part.nodes`). Buffer and pad entries are
+    discarded; every global index receives the value computed by its
+    unique owner. The result has the common dtype of `local` and `u_next`.
     """
-    if local_flat.shape != (part.dof_updates_per_step,):
-        raise ValueError(f"expected a flat local result of length "
-                         f"{part.dof_updates_per_step}, got shape {local_flat.shape}")
-    out = local_flat[part.owner_positions]
-    dtype = np.result_type(u_next.dtype, local_flat.dtype)
+    if local.shape != (part.nodes.size,):
+        raise ValueError(f"expected a flattened local stack of length "
+                         f"{part.nodes.size}, got shape {local.shape}")
+    out = local[part.owner_positions]
+    dtype = np.result_type(u_next.dtype, local.dtype)
     return out if out.dtype == dtype else out.astype(dtype)

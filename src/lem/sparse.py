@@ -109,24 +109,26 @@ class BandedSparseMatrix:
 
     @classmethod
     def vstack(cls, blocks, diagonal: bool = False) -> "BandedSparseMatrix":
-        """The blocks one below the other, sharing columns or block diagonal.
+        """The blocks on a zero-padded stack, sharing columns or block diagonal.
 
-        With `diagonal=True` each block's columns are offset past those of
-        the blocks above it. The blocks' entries are reused without another
-        sort or coalesce, so every row of the result holds its block row's
-        entries in their order and matvec sums them in the same order. A
-        single block is returned as it is.
+        Block i starts at row i L, L the most rows of any block, and with
+        `diagonal=True` also at column i L; rows (and columns) past a
+        smaller block stay empty. The blocks' entries are reused without
+        another sort or coalesce, so every row of the result holds its
+        block row's entries in their order and matvec sums them in the same
+        order. A single block is returned as it is.
         """
         if len(blocks) == 1:
             return blocks[0]
-        row_off = np.cumsum([0] + [b.n_rows for b in blocks])
-        col_off = (np.cumsum([0] + [b.n_cols for b in blocks]) if diagonal
-                   else np.zeros(len(blocks) + 1, dtype=np.int64))
+        width = max(b.n_rows for b in blocks)
+        off = width * np.arange(len(blocks))
         out = cls.__new__(cls)
         out._set(
-            row_off[-1], col_off[-1] if diagonal else blocks[0].n_cols,
-            np.concatenate([b.rows + r for b, r in zip(blocks, row_off)]),
-            np.concatenate([b.cols + c for b, c in zip(blocks, col_off)]),
+            width * len(blocks),
+            width * len(blocks) if diagonal else blocks[0].n_cols,
+            np.concatenate([b.rows + r for b, r in zip(blocks, off)]),
+            np.concatenate([b.cols + (r if diagonal else 0)
+                            for b, r in zip(blocks, off)]),
             np.concatenate([b.vals for b in blocks]),
         )
         return out

@@ -2,18 +2,19 @@
 
 `run_lem` is the one stepping loop. Per step it advances all subdomains at
 once on data frozen at t_n and gathers the interiors: the local states are
-one flat vector, and one scatter keeps the interiors. Dense phi is built
-once per distinct local operator, phi_0 included. With dense phi, an
-ExpEuler or ExpRB2 step is, between rebuilds, an affine map of the old
-state, so it is composed once per rebuild: a step is one sparse matvec
-that reads every window and its exterior couplings, and one product with
-the composed propagators P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i]
+one zero-padded (D, L) stack, row i on window M_i (`Partition.to_stack`),
+and one gather keeps the interiors. Dense phi is built once per
+distinct local operator, phi_0 included. With dense phi, an ExpEuler or
+ExpRB2 step is, between rebuilds, an affine map of the old state, so it
+is composed once per rebuild: a step is one sparse matvec that reads
+every window and its exterior couplings, and one product with the
+composed propagators P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i]
 (one gemm when every window shares P_i, else one batched product; at D=1
-one gemv with phi_0), plus the ExpRB2 shift. ExpRB3 on nonlinear systems
-and Krylov phi step the residual instead: two sparse matvecs (the
-block-diagonal local operators and the stacked exterior couplings) and
-phi applications on the zero-padded stack of all subdomains; Krylov phi
-is one Arnoldi process with every subdomain a member. RK4 and
+the one-row stack times phi_0), plus the ExpRB2 shift. ExpRB3 on
+nonlinear systems and Krylov phi step the residual instead: sparse
+matvecs of the block-diagonal local operators (and, for Krylov, of the
+stacked exterior couplings) and phi applications on the stack; Krylov
+phi is one Arnoldi process with every subdomain a member. RK4 and
 Crank-Nicolson step the whole mesh through the same loop on the
 one-subdomain partition, and `run_global` is `run_lem` on that partition
 for every method, so all methods share one loop, one timer and one report.
@@ -48,7 +49,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import identity as sp_identity
 from scipy.sparse.linalg import splu
 
-from .expm import KRYLOV_M_MAX, PhiEvaluator
+from .expm import KRYLOV_M_MAX, PhiEvaluator, stack_product
 from .models import SemiDiscreteSystem, stability_params
 from .partition import Partition, gather_overwrite, make_partition
 from .reports import RunReport
@@ -112,10 +113,9 @@ class StepperConfig:
 class _StackedStep:
     """Every subdomain's data frozen at one rebuild, stacked for one step.
 
-    The local states live on one flat vector, the M_i concatenated in
-    partition order (`Partition.flat_locals`), and `phi_eval` is one
-    evaluator for all subdomains on the zero-padded (D, L) stack of
-    `Partition`. A step takes one of two forms.
+    The local states live on the zero-padded (D, L) stack of `Partition`,
+    row i on M_i in window order, and `phi_eval` is one evaluator for all
+    subdomains on that stack. A step takes one of two forms.
 
     Composed (DenseStored phi, every method but ExpRB3 on a nonlinear
     system). Between rebuilds the step of subdomain i,
@@ -132,19 +132,20 @@ class _StackedStep:
     edge rows, applied as one gemm, else a (D, L, L + e) stack applied as
     one batched product. The edge columns and c_i come from
     `PhiEvaluator.apply` at the rebuild, so a step costs one sparse matvec
-    and one product. At D=1 there is no exterior and P is phi_0 itself.
+    and one product. At D=1 there is no exterior: P is phi_0 itself and
+    the stack is the one row u.
 
     Residual (ExpRB3 on a nonlinear system, whose correction stage needs
     the nonlinear remainder, and KrylovAction, which stores no phi).
-    `a_sum` is diag(A_1 ... A_D) acting on the flat vector and `halo` the
-    stacked exterior couplings [H_1; ...; H_D] acting on the global state,
-    built from each subdomain's own `restrict`/`halo` rows, so
-    `a_sum v + halo u` equals every local A_i v_i + H_i u bitwise; each
+    `a_sum` is diag(A_1 ... A_D) acting on the flattened stack and `halo`
+    the stacked exterior couplings [H_1; ...; H_D] acting on the global
+    state (`BandedSparseMatrix.vstack`), built from each subdomain's own
+    `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
+    A_i v_i + H_i u bitwise; ExpRB3 reads no `halo` and builds none. Each
     phi_k application is one call on the stack. With DenseStored phi
     `phi_eval` holds the subdomains' phi_k, one build per distinct local
     operator (`PhiEvaluator.dense`), with KrylovAction phi it runs every
-    subdomain as one member of a single Arnoldi process on `a_sum` moved
-    to the stack positions.
+    subdomain as one member of a single Arnoldi process on `a_sum`.
     """
 
     __slots__ = ("system", "part", "dt", "stage3", "phi_eval", "gather",
@@ -163,7 +164,8 @@ class _StackedStep:
         self.stage3 = cfg.method == "ExpRB3" and not system.is_linear
         order_max = 3 if self.stage3 else 1
         a_locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
-        halos = [jac.halo(m_i, m_i) for m_i in part.locals]
+        halos = (None if self.stage3
+                 else [jac.halo(m_i, m_i) for m_i in part.locals])
         self.system, self.part, self.dt = system, part, cfg.dt
         self.prop = None
 
@@ -173,22 +175,18 @@ class _StackedStep:
                 self._compose(halos, g_shift)
                 return
         self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
-        self.halo = BandedSparseMatrix.vstack(halos)
-        self.g_shift = None if g_shift is None else g_shift[part.flat_locals]
+        self.halo = None if self.stage3 else BandedSparseMatrix.vstack(halos)
+        self.g_shift = (None if g_shift is None
+                        else part.to_stack(g_shift).reshape(-1))
         if cfg.phi_mode == "KrylovAction":
-            a, pos = self.a_sum, part.stack_positions
-            if pos is not None:
-                n_stack = part.D * part.width
-                a = BandedSparseMatrix(n_stack, n_stack, pos[a.rows],
-                                       pos[a.cols], a.vals)
-            self.phi_eval = PhiEvaluator.krylov(a, cfg.dt, order_max)
+            self.phi_eval = PhiEvaluator.krylov(self.a_sum, cfg.dt, order_max)
 
     def _compose(self, halos: List[BandedSparseMatrix],
                  g_shift: Optional[np.ndarray]) -> None:
         """Set `gather`, `prop` and `shift` of the composed step."""
         part, dt, phi = self.part, self.dt, self.phi_eval
         self.shift = (None if g_shift is None
-                      else dt * self.phi(1, g_shift[part.flat_locals]))
+                      else dt * phi.apply(1, part.to_stack(g_shift)))
         self.prop, self.gather = phi.stored(0), None
         if part.D == 1:  # the window is the whole mesh, with no exterior
             return
@@ -218,55 +216,39 @@ class _StackedStep:
             (np.broadcast_to(self.prop, edge_cols.shape[:-1] + (width,)),
              edge_cols), axis=-1)
 
-    def phi(self, k: int, x: np.ndarray) -> np.ndarray:
-        """phi_k(dt A_i) x_i on every subdomain, x flat as `flat_locals`."""
-        part = self.part
-        pos, shape = part.stack_positions, (part.D, part.width)
-        if pos is None:
-            return self.phi_eval.apply(k, x.reshape(shape)).reshape(-1)
-        stack = np.zeros(part.D * part.width, dtype=x.dtype)
-        stack[pos] = x
-        return self.phi_eval.apply(k, stack.reshape(shape)).reshape(-1)[pos]
-
     def advance(self, u: np.ndarray, t_n: float) -> np.ndarray:
-        """One step of every subdomain from u at t_n, as one flat vector."""
+        """One step of every subdomain from u at t_n, as the flattened
+        (D, L) stack of their new local states."""
         part = self.part
         if self.prop is not None:
-            if self.gather is None:  # D=1: no exterior, one gemv
-                y = self.prop @ u[part.flat_locals]
-            else:
-                x = self.gather.matvec(u).reshape(part.D, -1)
-                if self.prop.ndim == 2:  # one P for every window: one gemm
-                    y = (x @ self.prop.T).reshape(-1)
-                else:
-                    y = np.matmul(self.prop, x[..., None]).reshape(-1)
-            if part.stack_positions is not None:
-                y = y[part.stack_positions]
-            return y if self.shift is None else y + self.shift
+            x = (part.to_stack(u) if self.gather is None  # D=1: no exterior
+                 else self.gather.matvec(u).reshape(part.D, -1))
+            y = stack_product(self.prop, x)
+            return (y if self.shift is None else y + self.shift).reshape(-1)
 
-        system, dt, idx = self.system, self.dt, part.flat_locals
-        v = u[idx]
+        system, dt, phi = self.system, self.dt, self.phi_eval
+        v = part.to_stack(u)
         if self.stage3:
             # stages evaluate the true local rhs with exterior frozen at t_n;
-            # at the local states u[idx] that is the global rhs restricted
-            f_n = system.rhs(u, t_n)[idx]
-            u_2 = v + dt * self.phi(1, f_n)
-            f_2 = np.empty_like(u_2)
-            off = part.offsets
+            # at the local states v that is the global rhs restricted
+            f_n = part.to_stack(system.rhs(u, t_n))
+            u_2 = v + dt * phi.apply(1, f_n)
+            f_2 = np.zeros_like(u_2)
             for i, m_i in enumerate(part.locals):
-                full = u.copy()
-                full[m_i.indices] = u_2[off[i]:off[i + 1]]
-                f_2[off[i]:off[i + 1]] = system.rhs(full, t_n)[m_i.indices]
-            dn = f_2 - f_n - self.a_sum.matvec(u_2 - v)
-            return u_2 + 2 * dt * self.phi(3, dn)
+                full, size = u.copy(), len(m_i)
+                full[m_i.indices] = u_2[i, :size]
+                f_2[i, :size] = system.rhs(full, t_n)[m_i.indices]
+            dn = f_2 - f_n - self.a_sum.matvec(
+                (u_2 - v).reshape(-1)).reshape(v.shape)
+            return (u_2 + 2 * dt * phi.apply(3, dn)).reshape(-1)
 
         # KrylovAction: ExpEuler on linear systems; ExpRB2 propagates the
         # frozen quasi-linearization, whose affine shift g_shift was set at
         # refresh
-        w = self.a_sum.matvec(v) + self.halo.matvec(u)
+        w = self.a_sum.matvec(v.reshape(-1)) + self.halo.matvec(u)
         if self.g_shift is not None:
             w = w + self.g_shift
-        return v + dt * self.phi(1, w)
+        return (v + dt * phi.apply(1, w.reshape(v.shape))).reshape(-1)
 
 
 class _ClassicalStep:
@@ -333,8 +315,8 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     """Advance the system, one step of every subdomain per step.
 
     Per step: take every subdomain's local exponential step on M_i with
-    exterior data frozen at t_n, all at once on the flat local vector
-    (`_StackedStep`), then gather keeping interiors only; RK4 and
+    exterior data frozen at t_n, all at once on the (D, L) stack of local
+    states (`_StackedStep`), then gather keeping interiors only; RK4 and
     Crank-Nicolson (`_ClassicalStep`) need the one-subdomain partition.
     The step is rebuilt every refresh interval (for linear systems: built
     once, first step), and its Krylov misses or Newton stalls harvested.

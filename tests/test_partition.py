@@ -9,6 +9,7 @@ from lem import (
     Mesh,
     Partition,
     build_advdiff_1d,
+    build_porous_1d,
     gather_overwrite,
     make_partition,
 )
@@ -87,11 +88,17 @@ class TestMakePartition:
             make_partition(mesh, 2, 21)
 
     def test_interior_positions(self):
-        part = make_partition(Mesh.line(60, 10.0), 3, 5)
-        for i in range(3):
-            d_i = part.interiors[i].indices
-            pos = part.owner_positions[d_i] - part.offsets[i]
-            assert np.array_equal(part.locals[i].indices[pos], d_i)
+        # owners sit at i L + lead in the flattened stack, lead the buffer
+        # rows in front of the interior (none at a clipped Dirichlet start)
+        for boundary, leads in (("periodic", (5, 5, 5)),
+                                ("dirichlet", (0, 5, 5))):
+            part = make_partition(Mesh.line(60, 10.0, boundary=boundary), 3, 5)
+            for i, lead in enumerate(leads):
+                d_i = part.interiors[i].indices
+                assert np.array_equal(part.owner_positions[d_i],
+                                      i * part.width + lead + np.arange(20))
+                pos = part.owner_positions[d_i] - i * part.width
+                assert np.array_equal(part.locals[i].indices[pos], d_i)
 
     def test_columns_layout_2d(self):
         mesh = Mesh.grid(24, 10, 10.0, 5.0)
@@ -104,10 +111,9 @@ class TestMakePartition:
         assert part.locals[0].indices.tolist() == list(range(90))
 
 
-def flat_result(part, value_of):
-    """A flat local result whose slice of subdomain i is value_of(i)."""
-    return np.concatenate([np.full(len(part.locals[i]), value_of(i))
-                           for i in range(part.D)])
+def stack_result(part, value_of):
+    """A flattened local stack whose row of subdomain i is value_of(i)."""
+    return np.repeat([value_of(i) for i in range(part.D)], part.width)
 
 
 class TestGatherOverwrite:
@@ -115,24 +121,28 @@ class TestGatherOverwrite:
         mesh = Mesh.line(24, 10.0)
         part = make_partition(mesh, 3, 4)
         u = np.zeros(24)
-        out = gather_overwrite(part, flat_result(part, lambda i: i + 1.0), u)
+        out = gather_overwrite(part, stack_result(part, lambda i: i + 1.0), u)
         for i in range(3):
             assert np.all(out[part.interiors[i].indices] == i + 1)
 
     def test_rejects_wrong_lengths(self):
         part = make_partition(Mesh.line(24, 10.0), 3, 4)
         u = np.zeros(24)
-        good = flat_result(part, float)
+        good = stack_result(part, float)
         for bad in (good[:-1], np.zeros(24), np.zeros((1, len(good)))):
             with pytest.raises(ValueError):
                 gather_overwrite(part, bad, u)
+        # a clipped split: the sum of window sizes is not the stack length
+        clipped = make_partition(build_porous_1d(64, 10.0).mesh, 4, 6)
+        with pytest.raises(ValueError):
+            gather_overwrite(clipped, np.zeros(100), np.zeros(64))
 
     def test_promotes_dtype(self):
         part = make_partition(Mesh.line(12, 10.0), 2, 2)
-        res = gather_overwrite(part, flat_result(part, lambda i: 1.0),
+        res = gather_overwrite(part, stack_result(part, lambda i: 1.0),
                                np.zeros(12, dtype=complex))
         assert np.iscomplexobj(res)
-        res = gather_overwrite(part, flat_result(part, lambda i: 1j),
+        res = gather_overwrite(part, stack_result(part, lambda i: 1j),
                                np.zeros(12))
         assert np.iscomplexobj(res)
 
@@ -174,42 +184,58 @@ class TestPartitionProperties:
                       and 2 * b <= n_axis - max_size):
             assert part.dof_updates_per_step == n + 2 * part.b_nominal * d * rows
 
-        flat, off = part.flat_locals, part.offsets
-        assert len(flat) == part.dof_updates_per_step == off[-1]
+        # the (D, L) stack: row i of `nodes` is M_i in window order, and
+        # `pads` marks the slots past it, None when every window has L nodes
+        sizes = [len(m_i) for m_i in part.locals]
+        width = part.width
+        assert width == max(sizes) and part.nodes.shape == (d, width)
+        assert part.dof_updates_per_step == sum(sizes)
+        assert (part.pads is None) == all(s == width for s in sizes)
+        pads = np.zeros((d, width), bool) if part.pads is None else part.pads
         for i, m_i in enumerate(part.locals):
-            assert np.array_equal(flat[off[i]:off[i + 1]], m_i.indices)
+            assert np.array_equal(part.nodes[i, :sizes[i]], m_i.indices)
+            assert np.array_equal(pads[i], np.arange(width) >= sizes[i])
+        # to_stack puts zeros exactly at the pads
+        assert np.array_equal(part.to_stack(np.arange(1, n + 1)) == 0, pads)
         # each window is a run of whole rows, consecutive modulo n_axis
         for m_i in part.locals:
             r = m_i.indices.reshape(-1, rows)
             assert np.array_equal(r, r[:, :1] + np.arange(rows))
             assert np.all(np.diff(r[:, 0] // rows) % n_axis == 1)
         pos = part.owner_positions
-        assert np.array_equal(flat[pos], np.arange(n))
-        # each node's value is read from its owner's slice
-        assert np.all((off[owner] <= pos) & (pos < off[owner + 1]))
-        # the (D, L) phi stack: window i in window order at the front of
-        # row i, zeros after it; no scatter when every window has L nodes
-        sizes = [len(m_i) for m_i in part.locals]
-        assert part.width == max(sizes)
-        assert (part.stack_positions is None) == all(
-            s == part.width for s in sizes)
-        at = part.stack_positions
-        stack = np.zeros(d * part.width, dtype=np.int64)
-        stack[slice(None) if at is None else at] = flat + 1  # all nonzero
-        stack = stack.reshape(d, part.width)
-        for i, m_i in enumerate(part.locals):
-            assert np.array_equal(stack[i, :sizes[i]], m_i.indices + 1)
-            assert not np.any(stack[i, sizes[i]:])
+        assert np.array_equal(part.nodes.reshape(-1)[pos], np.arange(n))
+        assert not pads.reshape(-1)[pos].any()
+        # each node's value is read from its owner's row of the stack
+        assert np.array_equal(pos // width, owner)
 
     @settings(max_examples=50, deadline=None)
     @given(meshes_and_splits())
     def test_gather_keeps_owner_values(self, case):
         part = make_partition(*case)
-        local_flat = np.concatenate(
-            [1000.0 * i + m.indices for i, m in enumerate(part.locals)])
-        out = gather_overwrite(part, local_flat, np.zeros(part.n_total))
+        stack = 1000.0 * np.arange(part.D)[:, None] + part.nodes
+        if part.pads is not None:
+            stack[part.pads] = np.nan  # never read
+        out = gather_overwrite(part, stack.reshape(-1), np.zeros(part.n_total))
         for i, d_i in enumerate(part.interiors):
             assert np.array_equal(out[d_i.indices], 1000.0 * i + d_i.indices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(meshes_and_splits(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stack_round_trip(self, case, complex_, seed):
+        # the owners' slots of the stack of x give back x bitwise, and the
+        # stack holds zeros exactly at the pads
+        part = make_partition(*case)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(part.n_total) + 0.5
+        if complex_:
+            x = x + 1j * rng.standard_normal(part.n_total)
+        stack = part.to_stack(x)
+        assert stack.shape == (part.D, part.width) and stack.dtype == x.dtype
+        out = gather_overwrite(part, stack.reshape(-1), x)
+        assert out.dtype == x.dtype and out.tobytes() == x.tobytes()
+        pads = (np.zeros(stack.shape, bool) if part.pads is None
+                else part.pads)
+        assert np.array_equal(stack == 0, pads)
 
 
 class TestIndexSet:

@@ -13,7 +13,9 @@ from lem.bench import parse_config, run_sweep
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # porous medium with an adaptive-reference oracle, so that the oracle's
-# solve_ivp runs too; ExpRB3 also exercises the local nonlinear stages
+# solve_ivp runs too; ExpRB3 exercises the local nonlinear stages, and the
+# composed ExpRB2 step extracts the exterior couplings (`halo`), which
+# ExpRB3 never reads
 POROUS = """\
 [porous]
 case = porous1d
@@ -21,7 +23,7 @@ n = 64
 L = 10
 T = 0.1
 oracle = AdaptiveReference
-methods = ExpRB3
+methods = ExpRB2, ExpRB3
 D = 1, 2
 rows = dt=0.01 B=8
 """
@@ -55,7 +57,8 @@ def test_every_entry_point_records_calls(tmp_path):
     (case,) = parse_config(str(path))
     with spans.instrumented(spans.Tracer()) as tracer:
         reports = run_sweep(case, workers=1, timing=True)
-    assert [r.D for r in reports] == [1, 2]
+    assert [(r.method, r.D) for r in reports] == [
+        ("ExpRB2", 1), ("ExpRB2", 2), ("ExpRB3", 1), ("ExpRB3", 2)]
     assert all(r.warnings == [] for r in reports)
     silent = [name for name in spans.ENTRY_POINTS if tracer.calls(name) == 0]
     assert silent == []

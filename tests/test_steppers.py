@@ -549,7 +549,7 @@ class TestStackedStep:
             # member and application
             log.clear()
             with patch:
-                step.phi(1, np.ones(part.dof_updates_per_step))
+                phi.apply(1, part.to_stack(np.ones(system.n)))
             assert len(log) == len(phi.krylov_dims) == part.D
             return
 
@@ -599,15 +599,20 @@ class TestStackedStep:
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
         assert [len(m_i) for m_i in part.locals] == [22, 28, 28, 22]
+        # criterion 11 counts the nodes of the local problems, not the
+        # slots of the stack they are stepped on
+        assert part.dof_updates_per_step == 100 and part.nodes.size == 4 * 28
         assert step.phi_eval._cached.shape == (2, 4, 28, 28)
         for k in (0, 1):
             stack = step.phi_eval.stored(k)
             for i in (0, 3):
                 assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
                 assert np.all(np.diag(stack[i])[:22] > 0)
-        # two edge rows per interior window, one per clipped end window
+        # two edge rows per interior window, one per clipped end window;
+        # the ExpRB2 shift lives on the stack too, zero at the pads
         assert step.prop.shape == (4, 28, 30)
-        assert step.gather.shape == (4 * 30, 64) and step.shift.shape == (100,)
+        assert step.gather.shape == (4 * 30, 64) and step.shift.shape == (4, 28)
+        assert not np.any(step.shift[part.pads])
         rows = step.gather.rows
         for i in (0, 3):
             p_i = step.prop[i]
@@ -719,6 +724,10 @@ class TestComposedStep:
             phi_1 = phi_k_dense(cfg.dt * jac[np.ix_(m, m)], 1)
             # (J u)[M_i] is A_i u[M_i] + H_i u
             want.append(u[m] + cfg.dt * (phi_1 @ (jac[m] @ u + g[m])))
-        want = np.concatenate(want)
-        assert got.shape == want.shape == (part.dof_updates_per_step,)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # row i of the stack: the window's |M_i| values, then zero pads
+        assert got.shape == (part.D * part.width,)
+        got = got.reshape(part.D, part.width)
+        scale = max(np.max(np.abs(w)) for w in want)
+        for i, w in enumerate(want):
+            assert np.max(np.abs(got[i, :w.size] - w)) <= 1e-12 * scale
+            assert not np.any(got[i, w.size:])
