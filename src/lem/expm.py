@@ -21,7 +21,7 @@ The local exponential method needs three flavors of exponential machinery:
   (APNUM 2009). Before each squaring, entries below eps^2 times the
   largest are dropped, since their subnormal fill-in would slow the
   squarings several times over. `PhiEvaluator.dense` builds the stored
-  phi_0 ... phi_k of a list of operators once per distinct operator.
+  phi_0 ... phi_k of a block-diagonal operator once per distinct block.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -473,22 +473,19 @@ def stack_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PhiEvaluator:
     """phi_k applications behind one interface, dense-cached or Krylov.
 
-    DenseStored mode precomputes phi_0..phi_{order_max}(dt A_i) for G
-    operators A_i, one `expm_dense` build per distinct operator, and
-    applies them by matrix products on a (G, L) stack, one row per
-    operator. When every A_i is the same matrix, entry k of `_cached` is
-    that one phi_k, an L x L view into its build, applied to the whole
-    stack as one gemm. Otherwise it is a (G, L, L) stack of the phi_k(dt
-    A_i), each zero-padded to the largest size L, applied as one batched
-    product. phi_0 = exp(dt A_i), the leading block of every build, is
-    kept for callers that compose a step from the stored matrices
+    Both modes take one operator A = diag(A_1 ... A_G) on a zero-padded
+    (G, L) stack (`BandedSparseMatrix.restrict`). DenseStored mode
+    precomputes phi_0..phi_{order_max}(dt A_i), one `expm_dense` build per
+    distinct block, and applies them to the (G, L) stack. When every A_i
+    is the same matrix, entry k of `_cached` is that one phi_k, an L x L
+    view into its build, applied to the whole stack as one gemm.
+    Otherwise it is a (G, L, L) stack of the phi_k(dt A_i), each
+    zero-padded to L, applied as one batched product. phi_0 = exp(dt A_i)
+    is kept for callers that compose a step from the stored matrices
     (`stored`); `apply` takes k >= 1. KrylovAction mode runs one Arnoldi
-    process per application at KRYLOV_TOL. Given a (G, L) stack, A must
-    be block diagonal with G blocks of size L that act on the flattened
-    stack, and every block is one member of that process. The dimension
-    of every member is appended to `krylov_dims`, and members that hit
-    KRYLOV_M_MAX unconverged are counted in `krylov_misses`. Both
-    evaluate the same mathematical object.
+    process per application at KRYLOV_TOL, every block one member. The
+    dimension of every member is appended to `krylov_dims`, and members
+    that hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
     """
 
     mode: str
@@ -500,29 +497,36 @@ class PhiEvaluator:
     krylov_misses: int = 0
 
     @classmethod
-    def dense(cls, ops: list, dt: float, order_max: int) -> "PhiEvaluator":
-        """DenseStored evaluator of the `BandedSparseMatrix` operators `ops`.
+    def dense(cls, a: BandedSparseMatrix, sizes, dt: float,
+              order_max: int) -> "PhiEvaluator":
+        """DenseStored evaluator of the block-diagonal `a` = diag(A_1 ... A_G).
 
-        Operators with equal (size, rows, cols, vals) share one build.
-        Entry k of the stored sequence, 0 <= k <= order_max, is phi_k(dt A)
-        itself when all operators are one A, else the (G, L, L)
-        zero-padded stack whose member i is phi_k(dt A_i).
+        Block i, of size `sizes[i]`, sits at rows and columns i L onwards,
+        as `BandedSparseMatrix.restrict` lays it out. Blocks with equal
+        size and entries share one build, from the block scattered into a
+        dense matrix once. Entry k of the stored sequence,
+        0 <= k <= order_max, is phi_k(dt A) itself when all blocks are one
+        A, else the (G, L, L) zero-padded stack of the phi_k(dt A_i).
         """
-        keys = [(a.n_rows, a.rows.tobytes(), a.cols.tobytes(), a.vals.tobytes())
-                for a in ops]
-        built = {}
-        for key, a in zip(keys, ops):
-            if key not in built:
-                built[key] = phi_dense_all(dt * a.to_dense(), order_max)
+        g = len(sizes)
+        width = a.n_rows // g
+        block, row, col = a.rows // width, a.rows % width, a.cols % width
+        bounds = np.searchsorted(block, np.arange(g + 1)).tolist()
+        built, keys = {}, []
+        for i, n in enumerate(sizes):
+            s = slice(bounds[i], bounds[i + 1])
+            keys.append((n, row[s].tobytes(), col[s].tobytes(), a.vals[s].tobytes()))
+            if keys[-1] not in built:
+                dense = np.zeros((n, n), dtype=a.dtype)
+                dense[row[s], col[s]] = dt * a.vals[s]
+                built[keys[-1]] = phi_dense_all(dense, order_max)
         if len(built) == 1:
             (cached,) = built.values()
         else:
-            width = max(a.n_rows for a in ops)
-            cached = np.zeros((order_max + 1, len(ops), width, width),
+            cached = np.zeros((order_max + 1, g, width, width),
                               dtype=np.result_type(*(p[0] for p in built.values())))
             for i, key in enumerate(keys):
-                n = ops[i].n_rows
-                cached[:, i, :n, :n] = built[key]
+                cached[:, i, :key[0], :key[0]] = built[key]
         return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=cached)
 
     @classmethod

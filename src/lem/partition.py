@@ -8,15 +8,16 @@ the buffer rows absorb the influence of the rest of the mesh over one
 step. On a periodic axis the window wraps modulo n; on a Dirichlet axis
 it is cut at the ends. After the step only interior values are kept, so
 every global degree of freedom is written by exactly one subdomain. The
-drivers that restrict an operator to M_i live in `steppers`.
+drivers that step the windows live in `steppers`.
 
 M_i lists its nodes in window order, not by global index, so a window
 that wraps across a periodic end has the same layout as one that does
 not, and its interior sits at a fixed offset inside it. The drivers
 advance all subdomains at once on one (D, L) stack, L the widest window
 (`Partition.width`): row i holds M_i in window order (`nodes`, the
-global index of every slot) and zeros after it (`pads`, None when every
-window has L nodes). `to_stack` lays a global vector out that way. A
+global index of every slot) and zeros after its `sizes[i]` nodes
+(`pads`, None when every window has L nodes). `to_stack` lays a global
+vector out that way, `BandedSparseMatrix.restrict`/`halo` a matrix. A
 `Partition` computes at construction, for every mesh node, the position
 in the flattened stack of its owner's value (`owner_positions`), and
 `gather_overwrite` reads it every step.
@@ -50,15 +51,16 @@ class Partition:
     b_nominal: int = 0
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     pads: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
     owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D != len(self.interiors) or self.D != len(self.locals):
             raise ValueError("one interior and one window per subdomain")
-        width = max(len(m_i) for m_i in self.locals)
+        sizes = np.array([len(m_i) for m_i in self.locals])
+        width = int(sizes.max())
         nodes = np.zeros((self.D, width), dtype=np.int64)
-        pads = np.zeros((self.D, width), dtype=bool)
         owners = np.full(self.n_total, -1, dtype=np.int64)
         for i, (m_i, d_i) in enumerate(zip(self.locals, self.interiors)):
             m, d = m_i.indices, d_i.indices
@@ -70,22 +72,23 @@ class Partition:
                     f"interior of subdomain {i} is not a run of its window")
             owners[d] = i * width + lead + np.arange(d.size)
             nodes[i, :m.size] = m
-            pads[i, m.size:] = True
         if np.any(owners < 0):
             raise ValueError("interiors must cover every mesh index")
+        pads = np.arange(width) >= sizes[:, None]
         pads = pads if pads.any() else None
-        for arr in (nodes, pads, owners):
+        for arr in (nodes, pads, sizes, owners):
             if arr is not None:
                 arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "pads", pads)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "owner_positions", owners)
         object.__setattr__(self, "width", width)
 
     @property
     def dof_updates_per_step(self) -> int:
         """Total degrees of freedom written per step, buffers included."""
-        return sum(len(m_i) for m_i in self.locals)
+        return int(self.sizes.sum())
 
     def to_stack(self, x: np.ndarray) -> np.ndarray:
         """The (D, L) stack of the global vector x: x on M_i in window order

@@ -4,7 +4,9 @@ All discrete operators in this package are stored as coordinate lists
 (row, col, value) together with a compiled CSR form used by matvec. The
 class also exposes the two scalar quantities that drive the off-diagonal
 decay estimates: the largest entry magnitude and the effective bandwidth
-max |i - j| over stored entries.
+max |i - j| over stored entries. `restrict` and `halo` cut a matrix on
+the overlapping windows of `lem.partition` straight into their
+zero-padded (D, L) stack layout, each in one pass over the window rows.
 """
 
 from __future__ import annotations
@@ -87,51 +89,21 @@ class BandedSparseMatrix:
             keep = vals != 0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
-        self._set(n_rows, n_cols, rows, cols, vals)
-        if bandwidth_hint is not None and self.bandwidth > bandwidth_hint:
-            raise ValueError(
-                f"effective bandwidth {self.bandwidth} exceeds hint {bandwidth_hint}"
-            )
-
-    def _set(self, n_rows, n_cols, rows, cols, vals) -> None:
-        """Store coalesced, nonzero, row-major entries and compile the CSR form."""
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.rows, self.cols, self.vals = rows, cols, vals
         for a in (self.rows, self.cols, self.vals):
             a.setflags(write=False)
         self.bandwidth = int(np.max(np.abs(rows - cols))) if rows.size else 0
+        if bandwidth_hint is not None and self.bandwidth > bandwidth_hint:
+            raise ValueError(
+                f"effective bandwidth {self.bandwidth} exceeds hint {bandwidth_hint}"
+            )
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n_rows), out=indptr[1:])
         self._csr = _sp.csr_matrix(
             (vals, cols, indptr), shape=(self.n_rows, self.n_cols)
         )
-
-    @classmethod
-    def vstack(cls, blocks, diagonal: bool = False) -> "BandedSparseMatrix":
-        """The blocks on a zero-padded stack, sharing columns or block diagonal.
-
-        Block i starts at row i L, L the most rows of any block, and with
-        `diagonal=True` also at column i L; rows (and columns) past a
-        smaller block stay empty. The blocks' entries are reused without
-        another sort or coalesce, so every row of the result holds its
-        block row's entries in their order and matvec sums them in the same
-        order. A single block is returned as it is.
-        """
-        if len(blocks) == 1:
-            return blocks[0]
-        width = max(b.n_rows for b in blocks)
-        off = width * np.arange(len(blocks))
-        out = cls.__new__(cls)
-        out._set(
-            width * len(blocks),
-            width * len(blocks) if diagonal else blocks[0].n_cols,
-            np.concatenate([b.rows + r for b, r in zip(blocks, off)]),
-            np.concatenate([b.cols + (r if diagonal else 0)
-                            for b, r in zip(blocks, off)]),
-            np.concatenate([b.vals for b in blocks]),
-        )
-        return out
 
     @classmethod
     def from_dense(cls, a) -> "BandedSparseMatrix":
@@ -179,40 +151,54 @@ class BandedSparseMatrix:
         """Largest entry magnitude (the rho of the decay bound); 0 if empty."""
         return float(np.max(np.abs(self.vals))) if self.vals.size else 0.0
 
-    def restrict(self, rows: IndexSet, cols: IndexSet) -> "BandedSparseMatrix":
-        """Submatrix on the given global row/column sets, reindexed locally.
+    def _stack_rows(self, nodes: np.ndarray, pads: np.ndarray | None):
+        """Each entry of the window rows, in stack order: the flattened slot
+        of its row, its global column and value, and the slot of its column
+        in the same window (-1 outside it). Pad slots have no row."""
+        d, width = nodes.shape
+        slot = np.arange(d * width)
+        if pads is not None:
+            slot = slot[~pads.reshape(-1)]
+        node = nodes.reshape(-1)[slot]
+        indptr = self._csr.indptr
+        start, count = indptr[node], indptr[node + 1] - indptr[node]
+        owner = np.repeat(np.arange(slot.size), count)  # entry -> its row
+        first = np.cumsum(count) - count  # each row's first entry in pos
+        pos = np.arange(owner.size) + np.repeat(start - first, count)
+        cols = self.cols[pos]
+        # (window, node) keys of every slot, sorted, looked up per entry
+        key = slot // width * self.n_cols + node
+        order = np.argsort(key)
+        key = key[order]
+        want = slot[owner] // width * self.n_cols + cols
+        at = np.minimum(np.searchsorted(key, want), key.size - 1)
+        local = np.where(key[at] == want, slot[order[at]], -1)
+        return slot[owner], cols, self.vals[pos], local
 
-        Local row k is global row `rows.indices[k]` and local column k is
-        global column `cols.indices[k]`, in whatever order the sets list them.
+    def restrict(self, nodes: np.ndarray, pads: np.ndarray | None = None
+                 ) -> "BandedSparseMatrix":
+        """diag(A_1 ... A_D) on the zero-padded (D, L) stack of windows.
 
-        Entries coupling to columns outside `cols` are dropped; the caller is
-        responsible for accounting for them (see `halo`).
+        Row i of `nodes` lists window M_i and `pads` marks its pad slots
+        (None: none), as in `Partition`. A_i, the submatrix on M_i in
+        window order, sits at rows and columns i L onwards of the (D L, D L)
+        result; pad rows and columns and couplings out of M_i stay empty.
         """
-        rpos = np.full(self.n_rows, -1, dtype=np.int64)
-        rpos[rows.indices] = np.arange(len(rows))
-        cpos = np.full(self.n_cols, -1, dtype=np.int64)
-        cpos[cols.indices] = np.arange(len(cols))
-        keep = (rpos[self.rows] >= 0) & (cpos[self.cols] >= 0)
-        return BandedSparseMatrix(
-            len(rows), len(cols),
-            rpos[self.rows[keep]], cpos[self.cols[keep]], self.vals[keep],
-        )
+        slot, _, vals, local = self._stack_rows(nodes, pads)
+        keep = local >= 0
+        return BandedSparseMatrix(nodes.size, nodes.size,
+                                  slot[keep], local[keep], vals[keep])
 
-    def halo(self, rows: IndexSet, cols: IndexSet) -> "BandedSparseMatrix":
-        """Couplings from `rows` to columns outside `cols`, as a (len(rows), n_cols) matrix.
-
-        Applying the result to a full-length vector yields exactly the terms
-        that `restrict(rows, cols)` dropped.
-        """
-        rpos = np.full(self.n_rows, -1, dtype=np.int64)
-        rpos[rows.indices] = np.arange(len(rows))
-        inside = np.zeros(self.n_cols, dtype=bool)
-        inside[cols.indices] = True
-        keep = (rpos[self.rows] >= 0) & ~inside[self.cols]
-        return BandedSparseMatrix(
-            len(rows), self.n_cols,
-            rpos[self.rows[keep]], self.cols[keep], self.vals[keep],
-        )
+    def halo(self, nodes: np.ndarray, pads: np.ndarray | None = None
+             ) -> "BandedSparseMatrix":
+        """[H_1; ...; H_D]: row i L + j holds the entries of global row
+        `nodes[i, j]` whose column lies outside M_i, at their global
+        columns. `restrict` on the stack of u plus `halo` on u is the
+        product with u on every window row; pad rows are empty."""
+        slot, cols, vals, local = self._stack_rows(nodes, pads)
+        out = local < 0
+        return BandedSparseMatrix(nodes.size, self.n_cols,
+                                  slot[out], cols[out], vals[out])
 
     def __repr__(self) -> str:
         kind = "complex" if self.is_complex else "real"

@@ -114,8 +114,11 @@ class _StackedStep:
     """Every subdomain's data frozen at one rebuild, stacked for one step.
 
     The local states live on the zero-padded (D, L) stack of `Partition`,
-    row i on M_i in window order, and `phi_eval` is one evaluator for all
-    subdomains on that stack. A step takes one of two forms.
+    row i on M_i in window order. A rebuild cuts the frozen Jacobian J
+    once on that stack: `a_sum` is diag(A_1 ... A_D) acting on the
+    flattened stack and `halo` [H_1; ...; H_D] acting on the global state
+    (`BandedSparseMatrix.restrict`/`halo`). `phi_eval` is one evaluator
+    for all subdomains, built from `a_sum`. A step takes one of two forms.
 
     Composed (DenseStored phi, every method but ExpRB3 on a nonlinear
     system). Between rebuilds the step of subdomain i,
@@ -136,16 +139,12 @@ class _StackedStep:
     the stack is the one row u.
 
     Residual (ExpRB3 on a nonlinear system, whose correction stage needs
-    the nonlinear remainder, and KrylovAction, which stores no phi).
-    `a_sum` is diag(A_1 ... A_D) acting on the flattened stack and `halo`
-    the stacked exterior couplings [H_1; ...; H_D] acting on the global
-    state (`BandedSparseMatrix.vstack`), built from each subdomain's own
-    `restrict`/`halo` rows, so `a_sum v + halo u` equals every local
-    A_i v_i + H_i u bitwise; ExpRB3 reads no `halo` and builds none. Each
-    phi_k application is one call on the stack. With DenseStored phi
-    `phi_eval` holds the subdomains' phi_k, one build per distinct local
-    operator (`PhiEvaluator.dense`), with KrylovAction phi it runs every
-    subdomain as one member of a single Arnoldi process on `a_sum`.
+    the nonlinear remainder, and KrylovAction, which stores no phi):
+    a_sum v + halo u equals every local A_i v_i + H_i u bitwise, and
+    each phi_k application is one call on the stack. ExpRB3 reads neither
+    `halo` nor the affine shift g, so it builds neither. DenseStored
+    `phi_eval` builds phi once per distinct block of `a_sum`, KrylovAction
+    runs every subdomain as one member of one Arnoldi process on `a_sum`.
     """
 
     __slots__ = ("system", "part", "dt", "stage3", "phi_eval", "gather",
@@ -153,35 +152,33 @@ class _StackedStep:
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
                  u: np.ndarray, t_n: float, cfg: StepperConfig):
-        if system.is_linear:
-            jac = system.linear_matrix
-            g_shift = None
-        else:
-            jac = system.jacobian(u)
-            g_shift = system.rhs(u, t_n) - jac.matvec(u)
         # ExpRB3 is ExpEuler on linear systems: its phi_3 stage runs, and
         # phi_3 is built, only on nonlinear ones
         self.stage3 = cfg.method == "ExpRB3" and not system.is_linear
+        jac = system.linear_matrix if system.is_linear else system.jacobian(u)
+        # the affine shift of the frozen quasi-linearization; the ExpRB3
+        # stages evaluate the nonlinear rhs instead
+        g_shift = (None if system.is_linear or self.stage3
+                   else system.rhs(u, t_n) - jac.matvec(u))
         order_max = 3 if self.stage3 else 1
-        a_locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
-        halos = (None if self.stage3
-                 else [jac.halo(m_i, m_i) for m_i in part.locals])
         self.system, self.part, self.dt = system, part, cfg.dt
+        a_sum = jac.restrict(part.nodes, part.pads)
+        halo = None if self.stage3 else jac.halo(part.nodes, part.pads)
         self.prop = None
 
         if cfg.phi_mode == "DenseStored":
-            self.phi_eval = PhiEvaluator.dense(a_locs, cfg.dt, order_max)
+            self.phi_eval = PhiEvaluator.dense(a_sum, part.sizes, cfg.dt,
+                                               order_max)
             if not self.stage3:
-                self._compose(halos, g_shift)
+                self._compose(halo, g_shift)
                 return
-        self.a_sum = BandedSparseMatrix.vstack(a_locs, diagonal=True)
-        self.halo = None if self.stage3 else BandedSparseMatrix.vstack(halos)
+        else:
+            self.phi_eval = PhiEvaluator.krylov(a_sum, cfg.dt, order_max)
+        self.a_sum, self.halo = a_sum, halo
         self.g_shift = (None if g_shift is None
                         else part.to_stack(g_shift).reshape(-1))
-        if cfg.phi_mode == "KrylovAction":
-            self.phi_eval = PhiEvaluator.krylov(self.a_sum, cfg.dt, order_max)
 
-    def _compose(self, halos: List[BandedSparseMatrix],
+    def _compose(self, halo: BandedSparseMatrix,
                  g_shift: Optional[np.ndarray]) -> None:
         """Set `gather`, `prop` and `shift` of the composed step."""
         part, dt, phi = self.part, self.dt, self.phi_eval
@@ -191,25 +188,30 @@ class _StackedStep:
         if part.D == 1:  # the window is the whole mesh, with no exterior
             return
         d, width = part.D, part.width
-        edges = [np.unique(h.rows) for h in halos]  # local rows, ascending
-        e = max(r.size for r in edges)
-        row_len = width + e
-        rows, cols, vals = [], [], []
-        for i, (m_i, h, r) in enumerate(zip(part.locals, halos, edges)):
-            rows += [i * row_len + np.arange(len(m_i)),
-                     i * row_len + width + np.searchsorted(r, h.rows)]
-            cols += [m_i.indices, h.cols]
-            vals += [np.ones(len(m_i)), h.vals]
+        # the edge rows (window rows with exterior couplings), and the rank
+        # of each among the edge rows of its window
+        edge = np.zeros(d * width, dtype=bool)
+        edge[halo.rows] = True
+        edge = edge.reshape(d, width)
+        rank = np.cumsum(edge, axis=1) - 1
+        e = int(edge.sum(axis=1).max())
+        start = (width + e) * np.arange(d)[:, None]  # row i of the gather
+        # the window's values (unit entries, zero at the pads, which the
+        # constructor drops), then its edge couplings
+        ones = (np.ones(d * width) if part.pads is None
+                else 1.0 - part.pads.reshape(-1))
         self.gather = BandedSparseMatrix(
-            d * row_len, part.n_total, np.concatenate(rows),
-            np.concatenate(cols), np.concatenate(vals))
+            d * (width + e), part.n_total,
+            np.concatenate(((start + np.arange(width)).reshape(-1),
+                            (start + width + rank).reshape(-1)[halo.rows])),
+            np.concatenate((part.nodes.reshape(-1), halo.cols)),
+            np.concatenate((ones, halo.vals)))
 
         # slot j of window i is the unit vector at its j-th edge row
         units = np.zeros((e, d, width))
-        for i, r in enumerate(edges):
-            units[np.arange(r.size), i, r] = 1.0
-        if self.prop.ndim == 2 and all(np.array_equal(r, edges[0])
-                                       for r in edges):
+        i, j = np.nonzero(edge)
+        units[rank[i, j], i, j] = 1.0
+        if self.prop.ndim == 2 and np.all(edge == edge[0]):
             units = units[:, 0]  # one P for every window
         edge_cols = dt * np.moveaxis(phi.apply(1, units), 0, -1)
         self.prop = np.concatenate(
@@ -234,10 +236,10 @@ class _StackedStep:
             f_n = part.to_stack(system.rhs(u, t_n))
             u_2 = v + dt * phi.apply(1, f_n)
             f_2 = np.zeros_like(u_2)
-            for i, m_i in enumerate(part.locals):
-                full, size = u.copy(), len(m_i)
-                full[m_i.indices] = u_2[i, :size]
-                f_2[i, :size] = system.rhs(full, t_n)[m_i.indices]
+            for i, size in enumerate(part.sizes):
+                m, full = part.nodes[i, :size], u.copy()
+                full[m] = u_2[i, :size]
+                f_2[i, :size] = system.rhs(full, t_n)[m]
             dn = f_2 - f_n - self.a_sum.matvec(
                 (u_2 - v).reshape(-1)).reshape(v.shape)
             return (u_2 + 2 * dt * phi.apply(3, dn)).reshape(-1)

@@ -203,9 +203,9 @@ class TestStructuredPhi:
         # the first (wrapping) window of the D = 4, B = 20 split of n = 400,
         # at the step of mu = 2: dt = 2 dx^2 / (1/2)
         system = build_schrodinger_1d(400, 10.0, 10.0, 0.5)
-        window = make_partition(system.mesh, 4, 20).locals[0]
+        window = make_partition(system.mesh, 4, 20).nodes[:1]
         dt = 2.0 * system.mesh.dx[0] ** 2 / 0.5
-        a = dt * system.linear_matrix.restrict(window, window).to_dense()
+        a = dt * system.linear_matrix.restrict(window).to_dense()
         assert a.shape == (140, 140) and np.iscomplexobj(a)
         assert_blocks_close(phi_dense_all(a, 1), augmented_phis(a, 1), 1e-12)
 
@@ -335,7 +335,7 @@ class TestKrylov:
     def test_evaluator_modes_agree(self):
         a, dense = self.make_operator()
         rng = np.random.default_rng(6)
-        ev_d = PhiEvaluator.dense([a], 0.05, order_max=3)
+        ev_d = PhiEvaluator.dense(a, [a.n_rows], 0.05, order_max=3)
         ev_k = PhiEvaluator.krylov(a, 0.05, order_max=3)
         for k in (1, 3):
             v = rng.standard_normal(120)
@@ -344,6 +344,17 @@ class TestKrylov:
             assert np.linalg.norm(wd - wk) <= 1e-9 * np.linalg.norm(wd)
         assert len(ev_k.krylov_dims) == 2
         assert all(1 <= m <= 60 for m in ev_k.krylov_dims)
+
+
+def block_diagonal(blocks):
+    """diag(A_1 ... A_G) of dense blocks on the zero-padded (G, L) stack, L
+    the largest block, as `BandedSparseMatrix.restrict` lays it out."""
+    width = max(len(b) for b in blocks)
+    out = np.zeros((len(blocks) * width,) * 2,
+                   dtype=np.result_type(*blocks))
+    for i, b in enumerate(blocks):
+        out[i * width:i * width + len(b), i * width:i * width + len(b)] = b
+    return BandedSparseMatrix.from_dense(out)
 
 
 # dense operators of sizes 4 and 7, real and complex; pool members 0 and 1
@@ -368,7 +379,7 @@ class TestDistinctBuilds:
     @example(picks=[4, 4], order_max=1, dt=0.5, seed=0)
     @example(picks=[0, 1, 4, 2, 0], order_max=3, dt=0.5, seed=0)
     def test_one_build_per_distinct_operator(self, picks, order_max, dt, seed):
-        # a fresh operator per pick: sharing follows the entries, not identity
+        # a fresh copy per pick: sharing follows the entries, not identity
         ops = [BandedSparseMatrix.from_dense(OPERATOR_POOL[i]) for i in picks]
         distinct = {0 if i == 1 else i for i in picks}
         calls = []
@@ -378,8 +389,10 @@ class TestDistinctBuilds:
             calls.append(a.shape)
             return build(a, k)
 
+        a_sum = block_diagonal([OPERATOR_POOL[i].copy() for i in picks])
         with mock.patch.object(lem.expm, "expm_dense", counted):
-            ev = PhiEvaluator.dense(ops, dt, order_max)
+            ev = PhiEvaluator.dense(a_sum, [a.n_rows for a in ops], dt,
+                                    order_max)
         assert len(calls) == len(distinct)
         shared = len(distinct) == 1
         assert all(phi.ndim == (2 if shared else 3) for phi in ev._cached)
@@ -403,7 +416,7 @@ class TestDistinctBuilds:
 
     def test_single_operator_keeps_views_of_its_build(self):
         a = BandedSparseMatrix.from_dense(OPERATOR_POOL[3])
-        ev = PhiEvaluator.dense([a], 0.5, 3)
+        ev = PhiEvaluator.dense(a, [7], 0.5, 3)
         phis = ev._cached
         assert len(phis) == 4 and all(p.shape == (7, 7) for p in phis)
         assert all(p.base is phis[0].base for p in phis)  # one build result

@@ -73,12 +73,19 @@ class TestMakePartition:
         for d in (4, 10, 20):
             for b in (8, 15):
                 part = make_partition(system.mesh, d, b)
-                ref = a.restrict(part.locals[0], part.locals[0])
-                for m_i in part.locals[1:]:
-                    loc = a.restrict(m_i, m_i)
-                    assert np.array_equal(loc.rows, ref.rows)
-                    assert np.array_equal(loc.cols, ref.cols)
-                    assert np.array_equal(loc.vals, ref.vals)
+                stack = a.restrict(part.nodes, part.pads)
+                # block i holds the entries of rows i L ... (i + 1) L - 1
+                width = part.width
+                block = stack.rows // width
+                assert np.array_equal(block, stack.cols // width)
+                ref = block == 0
+                for i in range(1, d):
+                    loc = block == i
+                    assert np.array_equal(stack.rows[loc] - i * width,
+                                          stack.rows[ref])
+                    assert np.array_equal(stack.cols[loc] - i * width,
+                                          stack.cols[ref])
+                    assert np.array_equal(stack.vals[loc], stack.vals[ref])
 
     def test_overlapping_buffers_rejected_periodic(self):
         # two periodic subdomains cannot carry buffers wider than the gap

@@ -8,6 +8,8 @@ only as a KeyError or an exercise-gate failure of a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from lem.bench import parse_config, run_sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,6 +43,41 @@ phi_mode = KrylovAction
 D = 1, 2
 rows = dt=0.01 B=8
 """
+
+# One D>1 cell of each step form that the `krylov-action` and
+# `linear-stepping` workloads time: (config, rebuilds per cell, whether
+# phi is stored). The porous ExpRB2 Krylov cell rebuilds at steps 0 and 5
+# of 10; the advection-diffusion ExpEuler cell is linear and composed,
+# built once.
+GATED_CELLS = {
+    "krylov": ("""\
+[porous-krylov]
+case = porous1d
+n = 64
+L = 10
+T = 0.1
+methods = ExpRB2
+phi_mode = KrylovAction
+D = 2
+rows = dt=0.01 B=8
+""", 2, False),
+    "linear-composed": ("""\
+[advdiff]
+case = advdiff1d
+n = 64
+L = 10
+T = 1
+methods = ExpEuler
+D = 2
+rows = dt=0.1 B=8
+""", 1, True),
+}
+
+# the entry points those gates need called inside every such cell
+CELL_ENTRY_POINTS = (
+    "BandedSparseMatrix.restrict", "BandedSparseMatrix.halo",
+    "BandedSparseMatrix.matvec", "PhiEvaluator.apply", "gather_overwrite",
+)
 
 
 def load_spans():
@@ -78,3 +115,29 @@ def test_krylov_apply_hook_reads_batched_evaluator(tmp_path):
     # the hook samples the last member's dimension of every application
     assert len(tracer.krylov_dims) == applies
     assert all(d > 0 for d in tracer.krylov_dims)
+
+
+def cell_calls(tracer, entry_point):
+    """Calls of an entry point inside cells, over all its span names."""
+    return sum(stat[0] for (name, in_cell), stat in tracer.stats.items()
+               if in_cell and name.split("/")[0] == entry_point)
+
+
+@pytest.mark.parametrize("name", sorted(GATED_CELLS))
+def test_d_above_one_cells_call_gated_entry_points(tmp_path, name):
+    config, rebuilds, stored = GATED_CELLS[name]
+    spans = load_spans()
+    path = tmp_path / f"{name}.ini"
+    path.write_text(config)
+    (case,) = parse_config(str(path))
+    with spans.instrumented(spans.Tracer()) as tracer:
+        (report,) = run_sweep(case, workers=1, timing=True)
+    assert report.D == 2 and report.warnings == []
+    wanted = CELL_ENTRY_POINTS
+    if stored:
+        wanted += ("PhiEvaluator.dense", "expm_dense")
+    silent = [e for e in wanted if cell_calls(tracer, e) == 0]
+    assert silent == []
+    # one extraction of each kind per rebuild, whatever D
+    assert cell_calls(tracer, "BandedSparseMatrix.restrict") == rebuilds
+    assert cell_calls(tracer, "BandedSparseMatrix.halo") == rebuilds

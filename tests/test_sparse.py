@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lem import Mesh, make_partition
 from lem.sparse import BandedSparseMatrix, IndexSet
 
 
@@ -78,8 +80,7 @@ class TestMatvec:
     def test_empty_complex_stays_complex(self):
         # a complex operator whose halo is empty (one periodic subdomain)
         a = BandedSparseMatrix(2, 2, [0, 1], [1, 0], [1j, -1j])
-        everything = IndexSet([0, 1])
-        halo = a.halo(everything, everything)
+        halo = a.halo(np.array([[0, 1]]))
         assert halo.nnz == 0
         assert halo.is_complex
         assert BandedSparseMatrix(3, 3, [], [], np.zeros(0, complex)).is_complex
@@ -91,7 +92,7 @@ class TestRestrict:
         # frozen: restricting the first 4 rows/cols of an 8-node periodic
         # advection matrix keeps only the tridiagonal block, no wrap entries
         a = periodic_advection(8, u=1.0, dx=0.5)
-        sub = a.restrict(IndexSet(range(4)), IndexSet(range(4)))
+        sub = a.restrict(np.arange(4)[None])
         expected = np.zeros((4, 4))
         for i in range(4):
             if i > 0:
@@ -103,7 +104,7 @@ class TestRestrict:
 
     def test_reindexing(self):
         a = periodic_advection(10)
-        sub = a.restrict(IndexSet([3, 4, 5]), IndexSet([3, 4, 5]))
+        sub = a.restrict(np.array([[3, 4, 5]]))
         assert sub.shape == (3, 3)
         assert sub.to_dense()[0, 1] == -0.5  # coupling 3 -> 4 moved to (0, 1)
 
@@ -111,23 +112,119 @@ class TestRestrict:
         rng = np.random.default_rng(3)
         a = periodic_advection(12, u=0.7, dx=0.1)
         x = rng.standard_normal(12)
-        for keep in (IndexSet([2, 3, 4, 5]), IndexSet([5, 3, 2, 4])):
-            local = a.restrict(keep, keep)
-            halo = a.halo(keep, keep)
-            full_rows = a.matvec(x)[keep.indices]
-            split = local.matvec(x[keep.indices]) + halo.matvec(x)
+        for keep in ([2, 3, 4, 5], [5, 3, 2, 4]):
+            keep = np.array(keep)
+            local = a.restrict(keep[None])
+            halo = a.halo(keep[None])
+            full_rows = a.matvec(x)[keep]
+            split = local.matvec(x[keep]) + halo.matvec(x)
             np.testing.assert_allclose(split, full_rows, rtol=1e-14, atol=1e-14)
+        # two windows on one stack, the second padded: each window row
+        # splits alike, and the pad row holds nothing
+        nodes = np.array([[2, 3, 4, 5], [11, 0, 1, 0]])
+        pads = np.array([[False] * 4, [False, False, True, True]])
+        local, halo = a.restrict(nodes, pads), a.halo(nodes, pads)
+        assert local.shape == (8, 8) and halo.shape == (8, 12)
+        stack = np.where(pads, 0.0, x[nodes]).reshape(-1)
+        split = local.matvec(stack) + halo.matvec(x)
+        live = ~pads.reshape(-1)
+        np.testing.assert_allclose(split[live], a.matvec(x)[nodes.reshape(-1)[live]],
+                                   rtol=1e-14, atol=1e-14)
+        assert not split[~live].any()
 
     def test_restriction_consistency_random(self):
-        # restrict then densify == densify then slice, couplings outside dropped
+        # restrict then densify == densify then slice, couplings outside
+        # dropped, in the order the window lists its nodes; block i of a
+        # stack of windows sits at rows and columns i L onwards
         rng = np.random.default_rng(5)
         d = rng.standard_normal((9, 9))
         a = BandedSparseMatrix.from_dense(d)
-        for r, c in ((IndexSet([0, 4, 8]), IndexSet([1, 4, 6])),
-                     (IndexSet([8, 0, 4]), IndexSet([6, 1, 4]))):
+        for r in ([0, 4, 8], [8, 0, 4], [6, 1, 4]):
             np.testing.assert_allclose(
-                a.restrict(r, c).to_dense(), d[np.ix_(r.indices, c.indices)]
-            )
+                a.restrict(np.array([r])).to_dense(), d[np.ix_(r, r)])
+        nodes = np.array([[0, 4, 8], [6, 1, 4]])
+        block = a.restrict(nodes).to_dense()
+        for i, r in enumerate(nodes):
+            want = np.zeros((3, 6))
+            want[:, 3 * i:3 * i + 3] = d[np.ix_(r, r)]
+            np.testing.assert_allclose(block[3 * i:3 * i + 3], want)
+
+
+@st.composite
+def stack_cases(draw):
+    """A partition (1D periodic with wrapping windows, 1D Dirichlet with
+    clipped and padded windows, or 2D column strips), a random sparse real
+    or complex operator on its mesh, and a state."""
+    kind = draw(st.sampled_from(("periodic", "dirichlet", "strips")))
+    n_axis = draw(st.integers(4, 30))
+    if kind == "strips":
+        boundary = draw(st.sampled_from(("periodic", "dirichlet")))
+        mesh = Mesh.grid(n_axis, draw(st.integers(4, 5)), 10.0, 5.0,
+                         boundary=boundary)
+    else:
+        boundary = kind
+        mesh = Mesh.line(n_axis, 10.0, boundary=boundary)
+    d = draw(st.integers(1, min(6, n_axis)))
+    b_max = 5
+    if boundary == "periodic" and d > 1:
+        b_max = min(b_max, n_axis - -(-n_axis // d))
+    part = make_partition(mesh, d, draw(st.integers(0, max(b_max, 0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = mesh.n_total
+    shape = (n, n)
+    complex_ = draw(st.booleans())
+    j = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+    u = rng.standard_normal(n)
+    if complex_:
+        j = j + 1j * rng.standard_normal(shape) * (j != 0)
+        u = u + 1j * rng.standard_normal(n)
+    return part, j, u
+
+
+class TestStackExtraction:
+    """`restrict` and `halo` on a partition's (D, L) stack against dense
+    slices of the operator, and the identity A_i u[M_i] + H_i u = (J u)[M_i]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack_cases())
+    def test_blocks_halo_and_residual_identity(self, case):
+        part, j, u = case
+        a = BandedSparseMatrix.from_dense(j)
+        local = a.restrict(part.nodes, part.pads)
+        halo = a.halo(part.nodes, part.pads)
+        d, width, n = part.D, part.width, part.n_total
+        assert local.shape == (d * width, d * width)
+        assert halo.shape == (d * width, n)
+        assert local.is_complex == halo.is_complex == np.iscomplexobj(j)
+
+        # block i is the dense slice on M_i, and nothing else is stored:
+        # pad rows and columns and every coupling between windows are empty
+        want_local = np.zeros(local.shape, dtype=j.dtype)
+        want_halo = np.zeros(halo.shape, dtype=j.dtype)
+        for i, m_i in enumerate(part.locals):
+            m, at = m_i.indices, i * width + np.arange(len(m_i))
+            want_local[np.ix_(at, at)] = j[np.ix_(m, m)]
+            exterior = np.ones(n, dtype=bool)
+            exterior[m] = False
+            want_halo[at] = j[m] * exterior
+        assert np.array_equal(local.to_dense(), want_local)
+        assert np.array_equal(halo.to_dense(), want_halo)
+        if part.pads is not None:
+            slots = np.flatnonzero(part.pads.reshape(-1))
+            assert not np.isin(local.rows, slots).any()
+            assert not np.isin(local.cols, slots).any()
+            assert not np.isin(halo.rows, slots).any()
+
+        # the local residual is the global residual restricted
+        split = local.matvec(part.to_stack(u).reshape(-1)) + halo.matvec(u)
+        whole = part.to_stack(a.matvec(u)).reshape(-1)
+        live = np.ones(d * width, dtype=bool) if part.pads is None \
+            else ~part.pads.reshape(-1)
+        scale = part.to_stack(np.abs(j) @ np.abs(u)).reshape(-1)
+        assert np.all(np.abs(split - whole)[live] <= 1e-14 * scale[live])
+        assert not split[~live].any()
+        if d == 1:
+            assert np.array_equal(split, whole)
 
 
 class TestScalars:

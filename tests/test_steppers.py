@@ -383,15 +383,19 @@ def _ref_build_caches(system, part, u, t_n, cfg):
         jac = system.jacobian(u)
         g_shift = system.rhs(u, t_n) - jac.matvec(u)
     order_max = 3 if cfg.method == "ExpRB3" and not system.is_linear else 1
+    # A_i and H_i are slices of the dense Jacobian, not `restrict`/`halo`
+    dense = jac.to_dense()
     caches = []
     for m_i in part.locals:
         idx = m_i.indices
-        a_loc = jac.restrict(m_i, m_i)
-        halo = jac.halo(m_i, m_i)
+        a_loc = BandedSparseMatrix.from_dense(dense[np.ix_(idx, idx)])
+        exterior = np.ones(system.n, dtype=bool)
+        exterior[idx] = False
+        halo = BandedSparseMatrix.from_dense(dense[idx] * exterior)
         if cfg.phi_mode == "KrylovAction":
             phi = PhiEvaluator.krylov(a_loc, cfg.dt, order_max)
         else:
-            phi = PhiEvaluator.dense([a_loc], cfg.dt, order_max)
+            phi = PhiEvaluator.dense(a_loc, [len(idx)], cfg.dt, order_max)
         caches.append(_RefCache(
             a_loc=a_loc, halo=halo, phi=phi,
             g_shift=None if g_shift is None else g_shift[idx], idx=idx))
@@ -558,15 +562,15 @@ class TestStackedStep:
         # else member i of a (D, L, L) stack, in its leading block with
         # zeros around it
         jac = (system.linear_matrix if system.is_linear
-               else system.jacobian(system.initial))
-        locs = [jac.restrict(m_i, m_i) for m_i in part.locals]
-        shared = all(a.shape == locs[0].shape
-                     and np.array_equal(a.to_dense(), locs[0].to_dense())
+               else system.jacobian(system.initial)).to_dense()
+        locs = [jac[np.ix_(m_i.indices, m_i.indices)] for m_i in part.locals]
+        shared = all(a.shape == locs[0].shape and np.array_equal(a, locs[0])
                      for a in locs)
         assert len(phi._cached) == phi.order_max + 1
         for i, a in enumerate(locs):
-            n_i = a.n_rows
-            own = PhiEvaluator.dense([a], cfg.dt, phi.order_max)
+            n_i = len(a)
+            own = PhiEvaluator.dense(BandedSparseMatrix.from_dense(a), [n_i],
+                                     cfg.dt, phi.order_max)
             for k in range(phi.order_max + 1):
                 phi_k, own_k = phi.stored(k), own.stored(k)
                 assert own_k.shape == (n_i, n_i)
