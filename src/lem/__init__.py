@@ -7,7 +7,7 @@ of every step, so the locality error is controlled by the off-diagonal decay
 of the matrix exponential.
 """
 
-from lem.sparse import BandedSparseMatrix, IndexSet
+from lem.sparse import BandedSparseMatrix
 from lem.expm import (
     expm_dense,
     phi_dense_all,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandedSparseMatrix",
-    "IndexSet",
     "expm_dense",
     "phi_dense_all",
     "phi_k_dense",

@@ -38,8 +38,8 @@ from .expm import verify_decay
 from .models import SemiDiscreteSystem
 from .partition import _block_sizes, make_partition
 from .reports import RunReport
-from .steppers import (_ALL_METHODS, _PHI_MODES, StepperConfig, run_global,
-                       run_lem, run_reference)
+from .steppers import (_ALL_METHODS, _PHI_MODES, _REFERENCE_TOL_MAX,
+                       StepperConfig, run_global, run_lem, run_reference)
 
 __all__ = [
     "BenchCase",
@@ -344,9 +344,10 @@ def parse_config(path: str) -> List[BenchCase]:
             except ValueError:
                 _fail(path, text, section, "reference_tol",
                       f"malformed number {sec['reference_tol']!r} for reference_tol")
-            if not reference_tol > 0:
+            if not 0 < reference_tol <= _REFERENCE_TOL_MAX:
                 _fail(path, text, section, "reference_tol",
-                      f"reference_tol must be positive, got {sec['reference_tol']!r}")
+                      f"reference_tol must be positive and at most "
+                      f"{_REFERENCE_TOL_MAX:g}, got {sec['reference_tol']!r}")
 
         cases.append(BenchCase(
             name=kind, params=params, t_end=t_end, oracle=oracle,

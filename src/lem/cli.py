@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    if not (math.isfinite(args.courant) and args.courant > 0):
+        print("error: --courant must be positive and finite", file=sys.stderr)
+        return 1
     if args.case not in _CASES:
         print(f"error: unknown case {args.case!r} "
               f"(known: {', '.join(sorted(_CASES))})", file=sys.stderr)

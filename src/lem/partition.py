@@ -10,17 +10,16 @@ it is cut at the ends. After the step only interior values are kept, so
 every global degree of freedom is written by exactly one subdomain. The
 drivers that step the windows live in `steppers`.
 
-M_i lists its nodes in window order, not by global index, so a window
-that wraps across a periodic end has the same layout as one that does
-not, and its interior sits at a fixed offset inside it. The drivers
-advance all subdomains at once on one (D, L) stack, L the widest window
-(`Partition.width`): row i holds M_i in window order (`nodes`, the
-global index of every slot) and zeros after its `sizes[i]` nodes
-(`pads`, None when every window has L nodes). `to_stack` lays a global
-vector out that way, `BandedSparseMatrix.restrict`/`halo` a matrix. A
-`Partition` computes at construction, for every mesh node, the position
-in the flattened stack of its owner's value (`owner_positions`), and
-`gather_overwrite` reads it every step.
+A `Partition` is its (D, L) stack arrays, L the widest window
+(`Partition.width`), and is built from them: row i of `nodes` lists
+window M_i in window order, not by global index, so a window that wraps
+across a periodic end has the same layout as one that does not; the slots
+past its `sizes[i]` nodes are pads (`pads`, None when every window has L
+nodes). `owner_positions` gives, for every mesh node, the slot in the
+flattened stack of its owner's value; the interiors are exactly those
+slots. `to_stack` lays a global vector out on the stack,
+`BandedSparseMatrix.restrict`/`halo` a matrix, and `gather_overwrite`
+reads the owners' slots every step.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import List, Optional
 import numpy as np
 
 from .models import Mesh
-from .sparse import IndexSet
 
 __all__ = [
     "Partition",
@@ -40,50 +38,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint interiors and the windows M_i they are solved on."""
+    """The (D, L) stack of windows M_i and the owner slot of every node.
 
-    D: int
-    interiors: List[IndexSet]
-    locals: List[IndexSet]
-    n_total: int
+    `nodes[i, :sizes[i]]` is M_i in window order, and `owner_positions[k]`
+    is the flattened slot of `nodes` that holds node k in its owner's
+    window. The constructor keeps read-only copies and checks that the
+    windows are duplicate-free node lists of the mesh and that every
+    owner slot is a window slot holding its node, which by itself makes
+    the interiors disjoint and cover the mesh.
+    """
+
+    nodes: np.ndarray
+    sizes: np.ndarray
+    owner_positions: np.ndarray
     b_nominal: int = 0
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    pads: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    owner_positions: np.ndarray = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
+    pads: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.D != len(self.interiors) or self.D != len(self.locals):
-            raise ValueError("one interior and one window per subdomain")
-        sizes = np.array([len(m_i) for m_i in self.locals])
-        width = int(sizes.max())
-        nodes = np.zeros((self.D, width), dtype=np.int64)
-        owners = np.full(self.n_total, -1, dtype=np.int64)
-        for i, (m_i, d_i) in enumerate(zip(self.locals, self.interiors)):
-            m, d = m_i.indices, d_i.indices
-            if np.any(owners[d] >= 0):
-                raise ValueError("interiors must be pairwise disjoint")
-            lead = int(np.argmax(m == d[0]))
-            if not np.array_equal(m[lead:lead + d.size], d):
-                raise ValueError(
-                    f"interior of subdomain {i} is not a run of its window")
-            owners[d] = i * width + lead + np.arange(d.size)
-            nodes[i, :m.size] = m
-        if np.any(owners < 0):
-            raise ValueError("interiors must cover every mesh index")
+        arrays = [np.array(a) for a in
+                  (self.nodes, self.sizes, self.owner_positions)]
+        if not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+            raise ValueError("partition arrays must hold integers")
+        nodes, sizes, owners = (a.astype(np.int64, copy=False)
+                                for a in arrays)
+        if (nodes.ndim != 2 or sizes.shape != nodes.shape[:1]
+                or owners.ndim != 1):
+            raise ValueError("need a (D, L) node stack, D window sizes and "
+                             "one owner position per mesh node")
+        d, width = nodes.shape
+        n = owners.size
+        if d == 0 or sizes.min() < 1 or sizes.max() != width:
+            raise ValueError(f"window sizes must lie in 1..L and reach L, "
+                             f"got {sizes.tolist()} for L={width}")
+        if nodes.min() < 0 or nodes.max() >= n:
+            raise ValueError(f"window nodes must lie in [0, {n})")
         pads = np.arange(width) >= sizes[:, None]
+        # `BandedSparseMatrix` looks window entries up by (window, node)
+        key = (np.arange(d)[:, None] * n + nodes)[~pads]
+        if np.unique(key).size != key.size:
+            raise ValueError("a window lists a node twice")
+        if (owners.min() < 0 or owners.max() >= nodes.size
+                or not np.array_equal(nodes.reshape(-1)[owners], np.arange(n))
+                or pads.reshape(-1)[owners].any()):
+            raise ValueError("every node's owner position must be a window "
+                             "slot holding that node")
         pads = pads if pads.any() else None
-        for arr in (nodes, pads, sizes, owners):
+        for name, arr in (("nodes", nodes), ("sizes", sizes),
+                          ("owner_positions", owners), ("pads", pads)):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "pads", pads)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "owner_positions", owners)
-        object.__setattr__(self, "width", width)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def D(self) -> int:
+        return self.nodes.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.nodes.shape[1]
+
+    @property
+    def n_total(self) -> int:
+        return self.owner_positions.size
 
     @property
     def dof_updates_per_step(self) -> int:
@@ -126,44 +144,41 @@ def make_partition(mesh: Mesh, d: int, b: int) -> Partition:
     periodic = mesh.boundary[0] == "periodic"
     if d > n_axis:
         raise ValueError(f"cannot split {n_axis} nodes into {d} subdomains")
-    sizes = _block_sizes(n_axis, d)
+    sizes = np.array(_block_sizes(n_axis, d))
     b_eff = 0 if d == 1 else b
     if d > 1 and periodic and b > n_axis - max(sizes):
         raise ValueError(
             f"buffer of {b} nodes per side wraps onto its own interior "
             f"(only {n_axis - max(sizes)} exterior nodes along the axis)")
 
-    interiors, windows = [], []
-    start = 0
-    for size in sizes:
-        stop = start + size
-        lo, hi = start - b_eff, stop + b_eff
-        if periodic:
-            hi = min(hi, lo + n_axis)
-        else:
-            lo, hi = max(lo, 0), min(hi, n_axis)
-        rows = np.arange(lo, hi) % n_axis
-        nodes = rows[:, None] * per_row + np.arange(per_row)
-        interiors.append(IndexSet(np.arange(start * per_row, stop * per_row)))
-        windows.append(IndexSet(nodes.reshape(-1)))
-        start = stop
+    # window i: rows [lo_i, hi_i) of the axis, its interior from row start_i
+    start = np.cumsum(sizes) - sizes
+    lo, hi = start - b_eff, start + sizes + b_eff
+    if periodic:
+        hi = np.minimum(hi, lo + n_axis)
+    else:
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n_axis)
+    counts = (hi - lo) * per_row
+    slot = np.arange(counts.max())
+    nodes = (lo[:, None] + slot // per_row) % n_axis * per_row + slot % per_row
+    nodes[slot >= counts[:, None]] = 0
+    # the interiors cover the mesh in order; node k of interior i sits at
+    # slot k - lo_i per_row of window i
+    first = np.arange(d) * slot.size - lo * per_row
+    owners = np.repeat(first, sizes * per_row) + np.arange(mesh.n_total)
+    return Partition(nodes=nodes, sizes=counts, owner_positions=owners,
+                     b_nominal=b_eff)
 
-    return Partition(D=d, interiors=interiors, locals=windows,
-                     n_total=mesh.n_total, b_nominal=b_eff)
 
-
-def gather_overwrite(part: Partition, local: np.ndarray,
-                     u_next: np.ndarray) -> np.ndarray:
+def gather_overwrite(part: Partition, local: np.ndarray) -> np.ndarray:
     """Assemble the next global state from the local result, interiors only.
 
     `local` is the flattened (D, L) stack of every subdomain's result, row i
     on M_i in window order (`part.nodes`). Buffer and pad entries are
     discarded; every global index receives the value computed by its
-    unique owner. The result has the common dtype of `local` and `u_next`.
+    unique owner. The result has the dtype of `local`.
     """
     if local.shape != (part.nodes.size,):
         raise ValueError(f"expected a flattened local stack of length "
                          f"{part.nodes.size}, got shape {local.shape}")
-    out = local[part.owner_positions]
-    dtype = np.result_type(u_next.dtype, local.dtype)
-    return out if out.dtype == dtype else out.astype(dtype)
+    return local[part.owner_positions]

@@ -5,45 +5,17 @@ All discrete operators in this package are stored as coordinate lists
 class also exposes the two scalar quantities that drive the off-diagonal
 decay estimates: the largest entry magnitude and the effective bandwidth
 max |i - j| over stored entries. `restrict` and `halo` cut a matrix on
-the overlapping windows of `lem.partition` straight into their
-zero-padded (D, L) stack layout, each in one pass over the window rows.
+the overlapping windows of a `lem.partition.Partition`, given as its
+`nodes` and `pads` arrays, straight into their zero-padded (D, L) stack
+layout, each in one pass over the window rows; they look entries up by
+(window, node), so each window must list distinct nodes, which
+`Partition` checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as _sp
-
-
-class IndexSet:
-    """Duplicate-free array of nonnegative global indices, in the order given."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("index set must be one-dimensional")
-        if idx.size:
-            if idx.min() < 0:
-                raise ValueError("negative index in index set")
-            srt = np.sort(idx)
-            if np.any(srt[1:] == srt[:-1]):
-                raise ValueError("index set must not repeat an index")
-        self.indices = idx
-        self.indices.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IndexSet) and np.array_equal(self.indices, other.indices)
-
-    def __repr__(self) -> str:
-        return f"IndexSet({self.indices.tolist()!r})"
 
 
 class BandedSparseMatrix:

@@ -66,6 +66,8 @@ _EXP_METHODS = ("ExpEuler", "ExpRB2", "ExpRB3")
 _CLASSICAL_METHODS = ("RK4", "CrankNicolson")
 _ALL_METHODS = _EXP_METHODS + _CLASSICAL_METHODS
 _PHI_MODES = ("DenseStored", "KrylovAction")
+# the loosest tolerance an adaptive reference run may be asked for
+_REFERENCE_TOL_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
         if s and refresh is not None and s % refresh == 0:
             harvest()
             step = make_step(system, part, u, t_n, cfg)
-        u = gather_overwrite(part, step.advance(u, t_n), u)
+        u = gather_overwrite(part, step.advance(u, t_n))
         if trajectory is not None:
             trajectory.append(u.copy())
     wall = time.perf_counter() - t_start
@@ -400,8 +402,9 @@ def run_reference(system: SemiDiscreteSystem, t_end: float,
     within 10*tol of the reference scale; disagreement or step-size
     failure raises.
     """
-    if tol > 1e-6:
-        raise ValueError("reference tolerance must be at most 1e-6")
+    if tol > _REFERENCE_TOL_MAX:
+        raise ValueError(
+            f"reference tolerance must be at most {_REFERENCE_TOL_MAX:g}")
 
     def ivp_rhs(t, y):
         return system.rhs(y, t)

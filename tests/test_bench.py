@@ -135,6 +135,11 @@ class TestParseConfig:
          "malformed refresh", 3),
         ("[advdiff1d]\nrows = C=1 B=8\nreference_tol = tight\n",
          "malformed number", 3),
+        # run_reference's own bound, at the key's line rather than at run time
+        ("[burgers1d]\nrows = dt=0.01 B=4\nreference_tol = 1e-3\n",
+         "at most 1e-06", 3),
+        ("[burgers1d]\nrows = dt=0.01 B=4\nreference_tol = 0\n",
+         "must be positive", 3),
         ("[advdiff1d]\nD = 1, 0\nrows = C=1 B=8\n", "at least 1", 2),
         ("[advdiff1d]\nD = -2\nrows = C=1 B=8\n", "at least 1", 2),
         ("[advdiff1d]\nn = 16\nD = 1, 17\nrows = C=1 B=0\n",

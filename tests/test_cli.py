@@ -128,6 +128,15 @@ def test_decay_profile(tmp_path, capsys):
     assert last < 1e-10 * first
 
 
+@pytest.mark.parametrize("courant", ["0", "-1", "nan", "inf"])
+def test_decay_rejects_bad_courant(tmp_path, capsys, courant):
+    out = tmp_path / "profile.csv"
+    rc = main(["decay", "advdiff1d", "--courant", courant, "--out", str(out)])
+    assert rc == 1
+    assert "--courant must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decay_unknown_case(capsys):
     rc = main(["decay", "heat42", "--courant", "1"])
     assert rc == 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lem import (
-    IndexSet,
     Mesh,
     Partition,
     build_advdiff_1d,
@@ -13,58 +12,111 @@ from lem import (
     gather_overwrite,
     make_partition,
 )
+from partition_reference import reference_windows
+
+
+def window(part, i):
+    """Window i of the partition under test, in window order."""
+    return part.nodes[i, :part.sizes[i]]
+
+
+def interior_sizes(part):
+    """How many nodes each window owns, from the partition under test."""
+    return np.bincount(part.owner_positions // part.width, minlength=part.D)
 
 
 class TestMakePartition:
     def test_uniform_blocks(self):
         part = make_partition(Mesh.line(400, 10.0), 8, 18)
         assert part.D == 8
-        assert all(len(s) == 50 for s in part.interiors)
-        assert all(len(s) == 86 for s in part.locals)
+        assert np.all(interior_sizes(part) == 50)
+        assert np.all(part.sizes == 86)
         assert part.dof_updates_per_step == 400 + 2 * 18 * 8
 
     def test_four_blocks(self):
         part = make_partition(Mesh.line(400, 10.0), 4, 15)
-        assert all(len(s) == 100 for s in part.interiors)
-        assert all(len(s) == 130 for s in part.locals)
+        assert np.all(interior_sizes(part) == 100)
+        assert np.all(part.sizes == 130)
 
     def test_uneven_sizes(self):
         part = make_partition(Mesh.line(100, 10.0), 3, 4)
-        sizes = sorted(len(s) for s in part.interiors)
-        assert sizes == [33, 33, 34]
-        assert sum(len(s) for s in part.interiors) == 100
+        assert sorted(interior_sizes(part)) == [33, 33, 34]
+        assert interior_sizes(part).sum() == 100
 
     def test_interiors_disjoint_cover(self):
-        part = make_partition(Mesh.line(127, 10.0), 5, 7)
-        seen = np.concatenate([s.indices for s in part.interiors])
-        assert len(seen) == 127
-        assert len(np.unique(seen)) == 127
+        mesh = Mesh.line(127, 10.0)
+        part = make_partition(mesh, 5, 7)
+        # every node has its own slot, and that slot holds it
+        pos = part.owner_positions
+        assert pos.shape == (127,) and np.unique(pos).size == 127
+        assert np.array_equal(part.nodes.reshape(-1)[pos], np.arange(127))
+        for i, (_, d_i) in enumerate(reference_windows(mesh, 5, 7)):
+            assert np.array_equal(np.flatnonzero(pos // part.width == i), d_i)
 
     def test_periodic_buffer_wraps(self):
         part = make_partition(Mesh.line(40, 10.0), 4, 3)
         # window order: wraps below 0, then runs past the interior
-        assert part.locals[0].indices.tolist() == [37, 38, 39] + list(range(13))
+        assert window(part, 0).tolist() == [37, 38, 39] + list(range(13))
 
     def test_dirichlet_buffer_clips(self):
         part = make_partition(Mesh.line(40, 10.0, boundary="dirichlet"), 4, 3)
-        assert part.locals[0].indices.tolist() == list(range(13))  # nothing below 0
-        assert part.locals[3].indices.tolist() == list(range(27, 40))
+        assert window(part, 0).tolist() == list(range(13))  # nothing below 0
+        assert window(part, 3).tolist() == list(range(27, 40))
 
     def test_single_domain_degenerate(self):
         part = make_partition(Mesh.line(64, 10.0), 1, 9)
-        assert part.locals[0] == part.interiors[0]  # no buffer
-        assert len(part.locals[0]) == 64
+        # no buffer: the one window is the mesh, and owns every node
+        assert part.nodes.tolist() == [list(range(64))] and part.pads is None
+        assert np.array_equal(part.owner_positions, np.arange(64))
+        assert part.b_nominal == 0
         assert part.dof_updates_per_step == 64
 
+    # windows [0..5] and [3..7] of 8 nodes, the second padded by one slot;
+    # nodes 0-3 are owned by window 0 (slots 0-3), 4-7 by window 1 (7-10)
+    VALID = dict(nodes=[[0, 1, 2, 3, 4, 5], [3, 4, 5, 6, 7, 0]],
+                 sizes=[6, 5], owner_positions=[0, 1, 2, 3, 7, 8, 9, 10])
+
+    def test_valid_arrays_accepted(self):
+        part = Partition(**self.VALID, b_nominal=2)
+        assert (part.D, part.width, part.n_total) == (2, 6, 8)
+        assert part.pads.tolist() == [[False] * 6, [False] * 5 + [True]]
+        assert part.dof_updates_per_step == 11 and part.b_nominal == 2
+        with pytest.raises(ValueError):
+            part.nodes[0, 0] = 1  # read-only copies
+
     def test_inconsistent_partition_rejected(self):
-        d0, d1 = IndexSet(range(4)), IndexSet(range(4, 8))
-        for interiors, windows in (
-            ([d0, d0], [d0, d1]),                       # overlapping interiors
-            ([d0, IndexSet(range(4, 7))], [d0, d1]),    # node 7 has no owner
-            ([d0, d1], [d0, IndexSet([5, 4, 6, 7])]),   # interior not a run
+        # one case per rule, each breaking only that rule of VALID
+        sizes, span = "window sizes must lie in 1..L", "must lie in \\[0, "
+        twice, owner = "lists a node twice", "owner position must be a window"
+        shape, dtype = "node stack", "must hold integers"
+        for rule, change in (
+            # sizes lie in 1..L, and their max is L
+            (sizes, dict(nodes=[list(range(6)), [0] * 6], sizes=[6, 0],
+                         owner_positions=list(range(6)))),  # empty window
+            (sizes, dict(sizes=[7, 5])),  # above L
+            (sizes, dict(nodes=[[0, 1, 2, 3, 4, 5, 0], [3, 4, 5, 6, 7, 0, 0]],
+                         owner_positions=[0, 1, 2, 3, 8, 9, 10, 11])),
+            # window nodes lie in [0, n), pads included (`to_stack` reads them)
+            (span, dict(nodes=[list(range(8)) + [20]], sizes=[9],
+                        owner_positions=list(range(8)))),
+            (span, dict(nodes=[[0, 1, 2, 3, 4, 5], [3, 4, 5, 6, 7, -1]])),
+            # window nodes are distinct within a window
+            (twice, dict(nodes=[[0, 1, 2, 3, 4, 5], [3, 4, 4, 6, 7, 0]],
+                         owner_positions=[0, 1, 2, 3, 4, 5, 9, 10])),
+            # the owner slot of node k is a live slot that holds k
+            (owner, dict(owner_positions=[0, 1, 2, 3, 1, 8, 9, 10])),  # shared
+            (owner, dict(owner_positions=[0, 1, 2, 3, 7, 8, 9, 12])),  # past
+            (owner, dict(owner_positions=[-12, 1, 2, 3, 7, 8, 9, 10])),  # wraps
+            (owner, dict(nodes=[[0, 1, 2, 3, 4, 5], [3, 4, 5, 6, 7, 7]],
+                         owner_positions=[0, 1, 2, 3, 7, 8, 9, 11])),  # a pad
+            # shapes and dtypes
+            (shape, dict(nodes=list(range(8)), sizes=[8])),
+            (shape, dict(sizes=[6, 5, 5])),
+            (shape, dict(owner_positions=[[0, 1, 2, 3], [7, 8, 9, 10]])),
+            (dtype, dict(nodes=[[0.0, 1, 2, 3, 4, 5], [3, 4, 5, 6, 7, 0]])),
         ):
-            with pytest.raises(ValueError):
-                Partition(D=2, interiors=interiors, locals=windows, n_total=8)
+            with pytest.raises(ValueError, match=rule):
+                Partition(**{**self.VALID, **change})
 
     def test_window_order_translation_invariant(self):
         # every window, wrapped or not, restricts to the same local operator
@@ -99,23 +151,24 @@ class TestMakePartition:
         # rows in front of the interior (none at a clipped Dirichlet start)
         for boundary, leads in (("periodic", (5, 5, 5)),
                                 ("dirichlet", (0, 5, 5))):
-            part = make_partition(Mesh.line(60, 10.0, boundary=boundary), 3, 5)
-            for i, lead in enumerate(leads):
-                d_i = part.interiors[i].indices
+            mesh = Mesh.line(60, 10.0, boundary=boundary)
+            part = make_partition(mesh, 3, 5)
+            ref = reference_windows(mesh, 3, 5)
+            for i, (lead, (m_i, d_i)) in enumerate(zip(leads, ref)):
                 assert np.array_equal(part.owner_positions[d_i],
                                       i * part.width + lead + np.arange(20))
                 pos = part.owner_positions[d_i] - i * part.width
-                assert np.array_equal(part.locals[i].indices[pos], d_i)
+                assert np.array_equal(m_i[pos], d_i)
 
     def test_columns_layout_2d(self):
         mesh = Mesh.grid(24, 10, 10.0, 5.0)
         part = make_partition(mesh, 4, 3)
         # strips of 6 columns, each column ny cells, buffered by 3 columns
-        assert all(len(s) == 60 for s in part.interiors)
-        assert len(part.locals[1]) == (6 + 6) * 10
+        assert np.all(interior_sizes(part) == 60)
+        assert part.sizes[1] == (6 + 6) * 10
         # whole columns: window 1 spans columns 3..14, window 0 is cut at 0
-        assert part.locals[1].indices.tolist() == list(range(30, 150))
-        assert part.locals[0].indices.tolist() == list(range(90))
+        assert window(part, 1).tolist() == list(range(30, 150))
+        assert window(part, 0).tolist() == list(range(90))
 
 
 def stack_result(part, value_of):
@@ -127,31 +180,20 @@ class TestGatherOverwrite:
     def test_interiors_only(self):
         mesh = Mesh.line(24, 10.0)
         part = make_partition(mesh, 3, 4)
-        u = np.zeros(24)
-        out = gather_overwrite(part, stack_result(part, lambda i: i + 1.0), u)
-        for i in range(3):
-            assert np.all(out[part.interiors[i].indices] == i + 1)
+        out = gather_overwrite(part, stack_result(part, lambda i: i + 1.0))
+        for i, (_, d_i) in enumerate(reference_windows(mesh, 3, 4)):
+            assert np.all(out[d_i] == i + 1)
 
     def test_rejects_wrong_lengths(self):
         part = make_partition(Mesh.line(24, 10.0), 3, 4)
-        u = np.zeros(24)
         good = stack_result(part, float)
         for bad in (good[:-1], np.zeros(24), np.zeros((1, len(good)))):
             with pytest.raises(ValueError):
-                gather_overwrite(part, bad, u)
+                gather_overwrite(part, bad)
         # a clipped split: the sum of window sizes is not the stack length
         clipped = make_partition(build_porous_1d(64, 10.0).mesh, 4, 6)
         with pytest.raises(ValueError):
-            gather_overwrite(clipped, np.zeros(100), np.zeros(64))
-
-    def test_promotes_dtype(self):
-        part = make_partition(Mesh.line(12, 10.0), 2, 2)
-        res = gather_overwrite(part, stack_result(part, lambda i: 1.0),
-                               np.zeros(12, dtype=complex))
-        assert np.iscomplexobj(res)
-        res = gather_overwrite(part, stack_result(part, lambda i: 1j),
-                               np.zeros(12))
-        assert np.iscomplexobj(res)
+            gather_overwrite(clipped, np.zeros(100))
 
 
 @st.composite
@@ -175,14 +217,35 @@ def meshes_and_splits(draw):
 class TestPartitionProperties:
     @settings(max_examples=200, deadline=None)
     @given(meshes_and_splits())
+    def test_arrays_match_reference(self, case):
+        # make_partition's arrays are the windows and interiors of the
+        # row rule: row i of `nodes` is M_i, and node k of D_i is owned at
+        # its position in M_i
+        mesh, d, b = case
+        part = make_partition(mesh, d, b)
+        ref = reference_windows(mesh, d, b)
+        width = max(m_i.size for m_i, _ in ref)
+        assert part.nodes.shape == (d, width)
+        assert part.sizes.tolist() == [m_i.size for m_i, _ in ref]
+        assert part.b_nominal == (0 if d == 1 else b)
+        want = np.full(mesh.n_total, -1)
+        for i, (m_i, d_i) in enumerate(ref):
+            assert np.array_equal(window(part, i), m_i)
+            slot_of = {node: j for j, node in enumerate(m_i.tolist())}
+            want[d_i] = [i * width + slot_of[k] for k in d_i.tolist()]
+        assert np.array_equal(part.owner_positions, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(meshes_and_splits())
     def test_invariants(self, case):
         mesh, d, b = case
         part = make_partition(mesh, d, b)
+        ref = reference_windows(mesh, d, b)
         n = mesh.n_total
         owner = np.full(n, -1)
-        for i, d_i in enumerate(part.interiors):
-            assert np.all(owner[d_i.indices] == -1)  # disjoint
-            owner[d_i.indices] = i
+        for i, (_, d_i) in enumerate(ref):
+            assert np.all(owner[d_i] == -1)  # disjoint
+            owner[d_i] = i
         assert np.all(owner >= 0)  # cover
         # unclipped: no Dirichlet end, and the two buffer flanks stay apart
         n_axis, rows = mesh.n[0], n // mesh.n[0]
@@ -193,20 +256,20 @@ class TestPartitionProperties:
 
         # the (D, L) stack: row i of `nodes` is M_i in window order, and
         # `pads` marks the slots past it, None when every window has L nodes
-        sizes = [len(m_i) for m_i in part.locals]
+        sizes = [m_i.size for m_i, _ in ref]
         width = part.width
         assert width == max(sizes) and part.nodes.shape == (d, width)
         assert part.dof_updates_per_step == sum(sizes)
         assert (part.pads is None) == all(s == width for s in sizes)
         pads = np.zeros((d, width), bool) if part.pads is None else part.pads
-        for i, m_i in enumerate(part.locals):
-            assert np.array_equal(part.nodes[i, :sizes[i]], m_i.indices)
+        for i, (m_i, _) in enumerate(ref):
+            assert np.array_equal(part.nodes[i, :sizes[i]], m_i)
             assert np.array_equal(pads[i], np.arange(width) >= sizes[i])
         # to_stack puts zeros exactly at the pads
         assert np.array_equal(part.to_stack(np.arange(1, n + 1)) == 0, pads)
         # each window is a run of whole rows, consecutive modulo n_axis
-        for m_i in part.locals:
-            r = m_i.indices.reshape(-1, rows)
+        for i in range(d):
+            r = window(part, i).reshape(-1, rows)
             assert np.array_equal(r, r[:, :1] + np.arange(rows))
             assert np.all(np.diff(r[:, 0] // rows) % n_axis == 1)
         pos = part.owner_positions
@@ -222,9 +285,9 @@ class TestPartitionProperties:
         stack = 1000.0 * np.arange(part.D)[:, None] + part.nodes
         if part.pads is not None:
             stack[part.pads] = np.nan  # never read
-        out = gather_overwrite(part, stack.reshape(-1), np.zeros(part.n_total))
-        for i, d_i in enumerate(part.interiors):
-            assert np.array_equal(out[d_i.indices], 1000.0 * i + d_i.indices)
+        out = gather_overwrite(part, stack.reshape(-1))
+        for i, (_, d_i) in enumerate(reference_windows(*case)):
+            assert np.array_equal(out[d_i], 1000.0 * i + d_i)
 
     @settings(max_examples=100, deadline=None)
     @given(meshes_and_splits(), st.booleans(), st.integers(0, 2**32 - 1))
@@ -238,19 +301,9 @@ class TestPartitionProperties:
             x = x + 1j * rng.standard_normal(part.n_total)
         stack = part.to_stack(x)
         assert stack.shape == (part.D, part.width) and stack.dtype == x.dtype
-        out = gather_overwrite(part, stack.reshape(-1), x)
+        out = gather_overwrite(part, stack.reshape(-1))
         assert out.dtype == x.dtype and out.tobytes() == x.tobytes()
         pads = (np.zeros(stack.shape, bool) if part.pads is None
                 else part.pads)
         assert np.array_equal(stack == 0, pads)
 
-
-class TestIndexSet:
-    def test_requires_sorted_unique(self):
-        with pytest.raises(ValueError):
-            IndexSet([3, 3, 4])
-        with pytest.raises(ValueError):
-            IndexSet([4, 3, 4])
-        with pytest.raises(ValueError):
-            IndexSet([5, -4])
-        assert IndexSet([5, 4]).indices.tolist() == [5, 4]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lem import Mesh, make_partition
-from lem.sparse import BandedSparseMatrix, IndexSet
+from lem.sparse import BandedSparseMatrix
+from partition_reference import reference_windows
 
 
 def centered_difference(n, dx=1.0):
@@ -26,19 +27,6 @@ def periodic_advection(n, u=1.0, dx=1.0):
         rows.append(i); cols.append((i - 1) % n); vals.append(u / (2 * dx))
         rows.append(i); cols.append((i + 1) % n); vals.append(-u / (2 * dx))
     return BandedSparseMatrix(n, n, rows, cols, vals)
-
-
-class TestIndexSet:
-    def test_sorted_unique_enforced(self):
-        assert IndexSet([2, 0, 5]).indices.tolist() == [2, 0, 5]  # order kept
-        with pytest.raises(ValueError):
-            IndexSet([0, 2, 2])
-        with pytest.raises(ValueError):
-            IndexSet([2, 0, 2])
-        with pytest.raises(ValueError):
-            IndexSet([-1, 0])
-        with pytest.raises(ValueError):
-            IndexSet([3, -1])
 
 
 class TestMatvec:
@@ -153,8 +141,9 @@ class TestRestrict:
 @st.composite
 def stack_cases(draw):
     """A partition (1D periodic with wrapping windows, 1D Dirichlet with
-    clipped and padded windows, or 2D column strips), a random sparse real
-    or complex operator on its mesh, and a state."""
+    clipped and padded windows, or 2D column strips), its reference
+    windows, a random sparse real or complex operator on its mesh, and a
+    state."""
     kind = draw(st.sampled_from(("periodic", "dirichlet", "strips")))
     n_axis = draw(st.integers(4, 30))
     if kind == "strips":
@@ -168,7 +157,9 @@ def stack_cases(draw):
     b_max = 5
     if boundary == "periodic" and d > 1:
         b_max = min(b_max, n_axis - -(-n_axis // d))
-    part = make_partition(mesh, d, draw(st.integers(0, max(b_max, 0))))
+    b = draw(st.integers(0, max(b_max, 0)))
+    part = make_partition(mesh, d, b)
+    windows = [m_i for m_i, _ in reference_windows(mesh, d, b)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = mesh.n_total
     shape = (n, n)
@@ -178,7 +169,7 @@ def stack_cases(draw):
     if complex_:
         j = j + 1j * rng.standard_normal(shape) * (j != 0)
         u = u + 1j * rng.standard_normal(n)
-    return part, j, u
+    return part, windows, j, u
 
 
 class TestStackExtraction:
@@ -188,7 +179,7 @@ class TestStackExtraction:
     @settings(max_examples=150, deadline=None)
     @given(stack_cases())
     def test_blocks_halo_and_residual_identity(self, case):
-        part, j, u = case
+        part, windows, j, u = case
         a = BandedSparseMatrix.from_dense(j)
         local = a.restrict(part.nodes, part.pads)
         halo = a.halo(part.nodes, part.pads)
@@ -201,8 +192,8 @@ class TestStackExtraction:
         # pad rows and columns and every coupling between windows are empty
         want_local = np.zeros(local.shape, dtype=j.dtype)
         want_halo = np.zeros(halo.shape, dtype=j.dtype)
-        for i, m_i in enumerate(part.locals):
-            m, at = m_i.indices, i * width + np.arange(len(m_i))
+        for i, m in enumerate(windows):
+            at = i * width + np.arange(m.size)
             want_local[np.ix_(at, at)] = j[np.ix_(m, m)]
             exterior = np.ones(n, dtype=bool)
             exterior[m] = False

@@ -30,6 +30,7 @@ from lem import (
     run_reference,
 )
 from lem.steppers import _StackedStep
+from partition_reference import reference_windows
 
 
 def quadratic_system(n=24, seed=5):
@@ -375,7 +376,12 @@ class _RefCache:
         self.idx = idx
 
 
-def _ref_build_caches(system, part, u, t_n, cfg):
+def _ref_windows(system, part):
+    """[(M_i, D_i)] of the split that `part` was made with."""
+    return reference_windows(system.mesh, part.D, part.b_nominal)
+
+
+def _ref_build_caches(system, windows, u, t_n, cfg):
     if system.is_linear:
         jac = system.linear_matrix
         g_shift = None
@@ -386,8 +392,7 @@ def _ref_build_caches(system, part, u, t_n, cfg):
     # A_i and H_i are slices of the dense Jacobian, not `restrict`/`halo`
     dense = jac.to_dense()
     caches = []
-    for m_i in part.locals:
-        idx = m_i.indices
+    for idx, _ in windows:
         a_loc = BandedSparseMatrix.from_dense(dense[np.ix_(idx, idx)])
         exterior = np.ones(system.n, dtype=bool)
         exterior[idx] = False
@@ -421,13 +426,12 @@ def _ref_local_step(system, cache, u, t_n, dt, method):
     return v + dt * cache.phi.apply(1, w)
 
 
-def _ref_gather(part, locals_out, u_next):
+def _ref_gather(windows, locals_out, u_next):
     dtype = np.result_type(u_next.dtype, *(v.dtype for v in locals_out))
-    out = np.empty(part.n_total, dtype=dtype)
-    pos = np.empty(part.n_total, dtype=np.int64)
-    for i, v_loc in enumerate(locals_out):
-        pos[part.locals[i].indices] = np.arange(len(part.locals[i]))
-        d_i = part.interiors[i].indices
+    out = np.empty(u_next.size, dtype=dtype)
+    pos = np.empty(u_next.size, dtype=np.int64)
+    for (m_i, d_i), v_loc in zip(windows, locals_out):
+        pos[m_i] = np.arange(m_i.size)
         out[d_i] = v_loc[pos[d_i]]
     return out
 
@@ -435,15 +439,16 @@ def _ref_gather(part, locals_out, u_next):
 def reference_run_lem(system, part, cfg):
     """One subdomain at a time, as run_lem stepped before it was stacked."""
     refresh = cfg.refresh_interval(system)
+    windows = _ref_windows(system, part)
     u = np.array(system.initial, copy=True)
     caches = None
     for s in range(cfg.n_steps):
         t_n = s * cfg.dt
         if caches is None or (refresh is not None and s % refresh == 0):
-            caches = _ref_build_caches(system, part, u, t_n, cfg)
+            caches = _ref_build_caches(system, windows, u, t_n, cfg)
         locals_out = [_ref_local_step(system, c, u, t_n, cfg.dt, cfg.method)
                       for c in caches]
-        u = _ref_gather(part, locals_out, u)
+        u = _ref_gather(windows, locals_out, u)
     return u
 
 
@@ -563,7 +568,7 @@ class TestStackedStep:
         # zeros around it
         jac = (system.linear_matrix if system.is_linear
                else system.jacobian(system.initial)).to_dense()
-        locs = [jac[np.ix_(m_i.indices, m_i.indices)] for m_i in part.locals]
+        locs = [jac[np.ix_(m_i, m_i)] for m_i, _ in _ref_windows(system, part)]
         shared = all(a.shape == locs[0].shape and np.array_equal(a, locs[0])
                      for a in locs)
         assert len(phi._cached) == phi.order_max + 1
@@ -602,7 +607,9 @@ class TestStackedStep:
         part = make_partition(system.mesh, 4, 6)
         step = _StackedStep(system, part, system.initial, 0.0, StepperConfig(
             method="ExpRB2", dt=0.01, t_end=0.01))
-        assert [len(m_i) for m_i in part.locals] == [22, 28, 28, 22]
+        assert [m_i.size for m_i, _ in _ref_windows(system, part)] == [
+            22, 28, 28, 22]
+        assert part.sizes.tolist() == [22, 28, 28, 22]
         # criterion 11 counts the nodes of the local problems, not the
         # slots of the stack they are stepped on
         assert part.dof_updates_per_step == 100 and part.nodes.size == 4 * 28
@@ -723,8 +730,7 @@ class TestComposedStep:
         g = (np.zeros(system.n) if system.is_linear
              else system.rhs(u_build, 0.0) - jac @ u_build)
         want = []
-        for m_i in part.locals:
-            m = m_i.indices
+        for m, _ in _ref_windows(system, part):
             phi_1 = phi_k_dense(cfg.dt * jac[np.ix_(m, m)], 1)
             # (J u)[M_i] is A_i u[M_i] + H_i u
             want.append(u[m] + cfg.dt * (phi_1 @ (jac[m] @ u + g[m])))
