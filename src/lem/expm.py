@@ -12,16 +12,22 @@ The local exponential method needs three flavors of exponential machinery:
   full matrix argument as the top block row of exp(W), with
   W = [[A, I, 0, ...], [0, J_k kron I]], which stays well defined for
   singular arguments. `expm_dense(a, k)` never forms the (k + 1) n matrix
-  W: every power, Pade polynomial, solve and squaring of W keeps the form
-  [[X, Y_1 ... Y_k], [0, T kron I]] (`_Block`), so each costs n x n by
-  n x (k + 1) n work, and writes into a fixed set of n x (k + 1) n
-  buffers allocated once per call. The Pade solve inverts the n x n block
-  X once (LU, then the inverse from it) and applies it as one product.
-  Squaring that form is the phi-function doubling of Skaflestad & Wright
-  (APNUM 2009). Before each squaring, entries below eps^2 times the
-  largest are dropped, since their subnormal fill-in would slow the
-  squarings several times over. `PhiEvaluator.dense` builds the stored
-  phi_0 ... phi_k of a block-diagonal operator once per distinct block.
+  W. Block j of the top row of a polynomial in W is itself a polynomial
+  in A, the j-th intermediate of Horner's rule, and functions of a banded
+  operator stay banded (Iserles, BIT 2000). So the Pade numerator and
+  denominator rows come from one Horner pass on A's diagonals, stored
+  cyclically (offset mod n) so that periodic corners, clipped windows and
+  tiny n all come out exact (`_horner_rows`). Only the n x n inverse of
+  the denominator, one n x n by n x (k + 1) n product and the squarings
+  are dense BLAS: about (2 + 2 (k + 1)(1 + s)) n^3 flops for s
+  squarings, where forming the Pade polynomials by six dense block-row
+  products would take (2 + 2 (k + 1)(7 + s)) n^3. Squaring keeps the
+  block form [[X, Y_1 ... Y_k], [0, T kron I]] (`_square`), the
+  phi-function doubling of Skaflestad & Wright (APNUM 2009); before each
+  squaring, entries below eps^2 times the largest are dropped, since
+  their subnormal fill-in would slow the squarings several times over.
+  `PhiEvaluator.dense` builds the stored phi_0 ... phi_k of every distinct
+  block of a block-diagonal operator in one stacked call per block size.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -79,70 +85,6 @@ KRYLOV_TOL = 1e-10
 KRYLOV_M_MAX = 60
 
 
-class _Block:
-    """[[X, Y_1 ... Y_k], [0, T kron I]], stored as its top block row and T.
-
-    `f` is the n x (k + 1) n row [X, Y_1, ..., Y_k] and `t` the k x k
-    scalar matrix T. Products, sums and solves of such matrices keep the
-    form, so a product costs one n x n by n x (k + 1) n matmul and a solve
-    one n x n inverse and one such matmul. Every operation writes its row
-    with `out=` into an n x (k + 1) n buffer the caller owns (`f` of
-    `out` and of `scratch`); only the k x k T parts are allocated.
-    """
-
-    __slots__ = ("f", "t")
-
-    def __init__(self, f: np.ndarray, t: np.ndarray | None = None):
-        self.f = f
-        self.t = t
-
-    def _mix(self, t: np.ndarray, scratch: "_Block") -> np.ndarray:
-        """[Y_1 ... Y_k] (t kron I), written into `scratch`: column block j
-        is sum_i t[i, j] Y_i."""
-        n, k = self.f.shape[0], self.t.shape[0]
-        mixed = scratch.f.reshape(-1)[:k * n * n].reshape(n, k, n)
-        np.matmul(t.T, self.f[:, n:].reshape(n, k, n), out=mixed)
-        return mixed.reshape(n, k * n)
-
-    def product(self, other: "_Block", out: "_Block", scratch: "_Block") -> "_Block":
-        """out = self @ other."""
-        n = self.f.shape[0]
-        np.matmul(self.f[:, :n], other.f, out=out.f)
-        out.f[:, n:] += self._mix(other.t, scratch)
-        out.t = self.t @ other.t
-        return out
-
-    def scaled(self, c: float, out: "_Block") -> "_Block":
-        """out = c self."""
-        np.multiply(self.f, c, out=out.f)
-        out.t = c * self.t
-        return out
-
-    def add(self, terms, scratch: "_Block") -> "_Block":
-        """self += c_1 B_1 + c_2 B_2 + ..., added left to right, for the
-        (c, B_i) pairs of `terms`; B_i None stands for the identity."""
-        for c, blk in terms:
-            if blk is None:
-                # the diagonal of X in the contiguous row f
-                self.f.reshape(-1)[::self.f.shape[1] + 1] += c
-                self.t = self.t + c * np.eye(len(self.t))
-            else:
-                self.f += blk.scaled(c, scratch).f
-                self.t = self.t + scratch.t
-        return self
-
-    def solve(self, rhs: "_Block", out: "_Block") -> "_Block":
-        """out = self^{-1} rhs = X^{-1} [R_X, R_Y - Y (S kron I)], with
-        S = T^{-1} R_T; overwrites `rhs`."""
-        n = self.f.shape[0]
-        s = np.linalg.solve(self.t, rhs.t)
-        rhs.f[:, n:] -= self._mix(s, out)
-        x_inv = scipy.linalg.inv(self.f[:, :n], check_finite=False)
-        np.matmul(x_inv, rhs.f, out=out.f)
-        out.t = s
-        return out
-
-
 def _pade13(b, ident):
     """(U, V) of the order-13 Pade approximant (V - U)^{-1} (V + U) to exp(b)."""
     b2 = b @ b
@@ -165,87 +107,177 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
 
     For 1 <= k <= 3 this is the n x (k + 1) n top block row of exp(W), with
     W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the k x k upper shift; it
-    is well defined for singular A. W is never formed: the Pade 13 scaling
-    and squaring runs on `_Block`s (`_phi_row`), and before each squaring
-    the entries below eps^2 times the largest are set to zero. The scaling
-    brings ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at most
-    theta_13, where the approximant's backward error is at most the unit
-    roundoff. For k = 0, `a` may also be a (G, n, n) stack (`_expm_stack`);
-    member i of the result equals `expm_dense(a[i])` bitwise.
+    is well defined for singular A. W is never formed (`_phi_row`): the
+    Pade 13 polynomials come from a Horner pass on A's diagonals, and only
+    the denominator inverse, one product and the squarings are dense. The
+    scaling brings ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at
+    most theta_13, where the approximant's backward error is at most the
+    unit roundoff. `a` may also be a (G, n, n) stack, for which the result
+    is (G, n, n) for k = 0 (`_expm_stack`) and (G, n, (k + 1) n) else;
+    member i of the result equals `expm_dense(a[i], k)` bitwise.
     Raises ValueError on a non-square or non-finite input and OverflowError
     on overflow.
     """
     a = np.asarray(a)
-    if a.ndim not in (2, 2 + (k == 0)) or a.shape[-1] != a.shape[-2]:
-        raise ValueError("expm_dense expects a square matrix "
-                         "(or, for k = 0, a stack of them)")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expm_dense expects a square matrix or a stack of them")
     if not 0 <= k <= 3:
         raise ValueError("phi order must be between 0 and 3")
     if not np.isfinite(a).all():
         raise ValueError("expm_dense: non-finite entries in input")
     n = a.shape[-1]
     if a.size == 0:
-        return np.zeros(a.shape, dtype=a.dtype)
+        return np.zeros(a.shape[:-1] + ((k + 1) * n,), dtype=a.dtype)
 
-    if k == 0:
-        r = _expm_stack(a.reshape(-1, n, n)).reshape(a.shape)
-    else:
-        r = _phi_row(a, k)
+    stack = a.reshape(-1, n, n)
+    r = _expm_stack(stack) if k == 0 else _phi_row(stack, k)
+    r = r.reshape(a.shape[:-1] + (-1,))
     if not np.isfinite(r).all():
         raise OverflowError("expm_dense: overflow during squaring phase")
     return r
 
 
-def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
-    """The top block row of exp(W) for `expm_dense(a, k)`, 1 <= k <= 3.
+def _square(f: np.ndarray, t: np.ndarray, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Square a (c,) stack of [[X, Y_1 ... Y_k], [0, T kron I]].
 
-    Every product, Pade sum, solve and squaring writes into seven
-    n x (k + 1) n buffers allocated once per call. Six of them are one
-    allocation, freed whole at return, which the C allocator keeps for the
-    next call instead of handing it back to the system (whose fresh pages
-    would fault in again). The seventh, allocated alone, holds the Pade
-    term P and then the result: the solve writes into it or into b6,
-    whichever makes the last squaring end there, so the returned row keeps
-    no scratch alive.
+    `f` holds the c top block rows [X, Y_1, ..., Y_k], each n x (k + 1) n,
+    and `t` the c k x k scalar matrices T. The top rows of the squares,
+    [X X, X Y + Y (T kron I)], are written into `out`, with `scratch` (of
+    the shape of `f`) holding the mixed Y (T kron I); returns the c T^2.
+    One n x n by n x (k + 1) n product per member (Skaflestad & Wright,
+    APNUM 2009).
     """
-    n = a.shape[0]
-    norm = max(float(np.max(np.sum(np.abs(a), axis=0))), 1.0)
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
-    scale = 2.0 ** squarings
+    c, n, k = f.shape[0], f.shape[1], t.shape[-1]
+    np.matmul(f[:, :, :n], f, out=out)
+    # column block j of Y (T kron I) is sum_i T[i, j] Y_i
+    mixed = scratch.reshape(c, -1)[:, :k * n * n].reshape(c, n, k, n)
+    np.matmul(t.swapaxes(1, 2)[:, None], f[:, :, n:].reshape(c, n, k, n), out=mixed)
+    out[:, :, n:] += mixed.reshape(c, n, k * n)
+    return t @ t
+
+
+def _horner_rows(b: np.ndarray, off: np.ndarray, k: int):
+    """H_0(B) ... H_k(B) of the order-13 Pade numerator, on cyclic diagonals.
+
+    `b[..., t, i]` is B[i, (i + off[t]) mod n], for sorted offsets `off`
+    that include 0, each the representative of its class mod n in
+    [-(n // 2), n - 1 - n // 2] (`_wrap`). Horner's rule, H_13 = c_13 I
+    and H_j = c_j I + B H_{j+1}, gives H_j(B) = sum_{i >= j} c_i B^(i - j);
+    each step adds B's offsets to those of H_{j+1}, modulo n, so the band
+    of H_j spans 13 - j times B's, wrapped around exactly. Returns the
+    (..., k + 1, m, n) diagonals of H_0 ... H_k at the m offsets of H_0
+    (those of H_j nest in them), and the offsets. Each diagonal takes its
+    terms in the order of `off`, so a diagonal of B that is zero changes
+    no bit of the result. Until the band wraps, the diagonals one term
+    adds to are a run of consecutive ones, updated in place.
+    """
+    n = b.shape[-1]
+    shifted = [(e, (np.arange(n) + e) % n) for e in off.tolist()]
+    h_off = np.zeros(1, dtype=np.intp)
+    h = np.full(b.shape[:-2] + (1, n), _PADE13[13], dtype=b.dtype)
+    steps = []
+    for c in _PADE13[12::-1]:
+        new_off = np.unique(_wrap(h_off[:, None] + off, n))
+        new = np.zeros(b.shape[:-2] + (len(new_off), n), dtype=b.dtype)
+        for t, (e, cols) in enumerate(shifted):
+            # (B H)[i, i + e + d] gets B[i, i + e] H[i + e, i + e + d]
+            term = h[..., cols]
+            term *= b[..., t, None, :]
+            pos = np.searchsorted(new_off, _wrap(h_off + e, n))
+            if (np.diff(pos) == 1).all():
+                new[..., pos[0]:pos[-1] + 1, :] += term
+            else:
+                new[..., pos, :] += term
+        new[..., np.searchsorted(new_off, 0), :] += c
+        h, h_off = new, new_off
+        steps.append((h, h_off))
+    rows = np.zeros(h.shape[:-2] + (k + 1,) + h.shape[-2:], dtype=b.dtype)
+    for j in range(k + 1):
+        h_j, off_j = steps[-1 - j]
+        rows[..., j, np.searchsorted(h_off, off_j), :] = h_j
+    return rows, h_off
+
+
+def _wrap(d, n: int):
+    """The representative of d mod n in [-(n // 2), n - 1 - n // 2]."""
+    return (d + n // 2) % n - n // 2
+
+
+def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
+    """The top block rows of exp(W) for a (G, n, n) stack, 1 <= k <= 3.
+
+    Member g is scaled by its own 2^-s, s the fewest squarings that bring
+    ||W||_1 = max(||A||_1, 1) to at most theta_13, and B = A / 2^s. Block
+    j of the top row of p(W / 2^s), for p the Pade numerator, is
+    2^(-s j) H_j(B), with H_j the j-th Horner intermediate of p; the
+    denominator q(W) = p(-W) has (-2^-s)^j H_j(-B). One `_horner_rows`
+    pass on the diagonals of B and -B together forms both, in
+    O((k + 1) m n) work for an operator of band m. The lower block rows of
+    p and q are T_p kron I and T_q kron I, T = sum_m c_m (+-J_k / 2^s)^m,
+    so the top row of q^{-1} p is Q_0^{-1} [P_0, P_Y - Q_Y (S kron I)]
+    with S = T_q^{-1} T_p, and its lower rows are S kron I. The bracket is
+    formed on the diagonals too: only the n x n inverse Q_0^{-1}, its
+    product with the bracket and the squarings are dense. Squaring j runs
+    on the members with s > j, a prefix of the stack sorted by s; before
+    each, entries below eps^2 times the member's largest are set to zero.
+    Squarings that overflow leave inf or nan for `expm_dense` to report.
+    Every product and solve is one BLAS or LAPACK call per member, so
+    member g of the result does not depend on the rest of the stack.
+    """
+    g, n = a.shape[0], a.shape[-1]
+    norms = np.maximum(np.abs(a).sum(axis=1).max(axis=1), 1.0).tolist()
+    squarings = [max(0, math.ceil(math.log2(x / _THETA13))) for x in norms]
+    order = np.argsort([-s for s in squarings], kind="stable")
+    squarings = [squarings[i] for i in order]
     dtype = np.promote_types(a.dtype, np.float64)
-    b, b2, b4, b6, s, tmp = (_Block(f) for f in np.empty((6, n, (k + 1) * n), dtype))
-    p = _Block(np.empty((n, (k + 1) * n), dtype))
-    # b = W / scale, from W's top block row [A, I, 0, ...]
-    b.f[:, n:] = 0.0
-    np.divide(a, scale, out=b.f[:, :n])
-    b.f.reshape(-1)[n::(k + 1) * n + 1] = 1.0 / scale  # diagonal of I / scale
-    b.t = np.eye(k, k=1) / scale
+    i = np.arange(n)
+    rows, cols = np.nonzero(np.any(a != 0, axis=0))
+    off = np.union1d(_wrap(cols - rows, n), 0)  # every member's diagonals
+    scale = np.array([2.0 ** s for s in squarings])
+    # b[g, t, i] = B_g[i, (i + off[t]) mod n]
+    b = a[order[:, None, None], i, (i + off[:, None]) % n] / scale[:, None, None]
+    h, h_off = _horner_rows(np.concatenate([b, -b]), off, k)
 
-    # the order-13 Pade approximant, term by term in the order of `_pade13`
+    # block j of the top rows of p(W / 2^s) and q(W / 2^s), and T_p, T_q;
+    # the powers of 2^-s are exact
     c = _PADE13
-    b.product(b, b2, tmp)
-    b2.product(b2, b4, tmp)
-    b2.product(b4, b6, tmp)
-    b6.scaled(c[13], s).add([(c[11], b4), (c[9], b2)], tmp)
-    b6.product(s, p, tmp).add([(c[7], b6), (c[5], b4), (c[3], b2), (c[1], None)], tmp)
-    u = b.product(p, s, tmp)
-    b6.scaled(c[12], p).add([(c[10], b4), (c[8], b2)], tmp)
-    v = b6.product(p, b, tmp).add([(c[6], b6), (c[4], b4), (c[2], b2), (c[0], None)], tmp)
-    np.subtract(v.f, u.f, out=b4.f)
-    b4.t = v.t - u.t
-    np.add(v.f, u.f, out=b2.f)
-    b2.t = v.t + u.t
-    first, second = (p, b6) if squarings % 2 == 0 else (b6, p)
-    blk, spare = b4.solve(b2, first), second
+    pw = (1.0 / scale[:, None]) ** np.arange(k + 1)
+    sign = (-1.0) ** np.arange(k + 1)
+    p_row = h[:g] * pw[:, :, None, None]
+    q_row = h[g:] * (sign * pw)[:, :, None, None]
+    t_p = sum(c[m] * pw[:, m, None, None] * np.eye(k, k=m) for m in range(k))
+    t_q = sum(c[m] * sign[m] * pw[:, m, None, None] * np.eye(k, k=m) for m in range(k))
+    t = np.linalg.solve(t_q, t_p)
+    # P_Y - Q_Y (S kron I): block j takes sum_m S[m, j] Q_m off P_j
+    for j in range(1, k + 1):
+        for m in range(1, k + 1):
+            p_row[:, j] -= t[:, m - 1, j - 1, None, None] * q_row[:, m]
 
-    mag = tmp.f.real  # |F| in the scratch buffer, free between products
+    # dense: Q_0^{-1} times the row, then the squarings, which alternate
+    # between `f` and `spare` and end in `f` for the first member
+    col = (i + h_off[:, None]) % n
+    q_0 = np.zeros((g, n, n), dtype=dtype)
+    q_0[:, i, col] = q_row[:, 0]
+    f = np.empty((g, n, (k + 1) * n), dtype=dtype)
+    spare, scratch = np.zeros((2,) + f.shape, dtype=dtype)
+    scratch[:, i, col + n * np.arange(k + 1)[:, None, None]] = p_row
+    bufs = (f, spare) if squarings[0] % 2 == 0 else (spare, f)
+    np.matmul(scipy.linalg.inv(q_0, check_finite=False), scratch, out=bufs[0])
+    mag = scratch.real  # |F| in the scratch, free between squarings
     drop = np.empty(mag.shape, dtype=bool)
-    for _ in range(squarings):
-        np.abs(blk.f, out=mag)
-        np.less(mag, _DROP * mag.max(), out=drop)
-        np.copyto(blk.f, 0.0, where=drop)
-        blk, spare = blk.product(blk, spare, tmp), blk
-    return blk.f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(squarings[0]):
+            live = sum(s > j for s in squarings)
+            x, y = bufs[j % 2][:live], bufs[1 - j % 2][:live]
+            np.abs(x, out=mag[:live])
+            top = mag[:live].max(axis=(1, 2))
+            np.less(mag[:live], _DROP * top[:, None, None], out=drop[:live])
+            np.copyto(x, 0.0, where=drop[:live])
+            t[:live] = _square(x, t[:live], y, scratch[:live])
+    moved = [m for m, s in enumerate(squarings) if bufs[s % 2] is spare]
+    f[moved] = spare[moved]
+    return f[np.argsort(order)] if (np.diff(order) < 0).any() else f
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
@@ -265,12 +297,13 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     u, v = _pade13(b, np.eye(n, dtype=b.dtype))
     r = np.linalg.solve(v - u, v + u)
     fewest = min(squarings)
-    for j in range(max(squarings)):
-        if j < fewest:
-            r = r @ r
-        else:
-            todo = np.array(squarings) > j
-            r[todo] = r[todo] @ r[todo]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(max(squarings)):
+            if j < fewest:
+                r = r @ r
+            else:
+                todo = np.array(squarings) > j
+                r[todo] = r[todo] @ r[todo]
     if not all(norms):
         r[np.array(norms) == 0] = np.eye(n)
     return r
@@ -475,8 +508,8 @@ class PhiEvaluator:
 
     Both modes take one operator A = diag(A_1 ... A_G) on a zero-padded
     (G, L) stack (`BandedSparseMatrix.restrict`). DenseStored mode
-    precomputes phi_0..phi_{order_max}(dt A_i), one `expm_dense` build per
-    distinct block, and applies them to the (G, L) stack. When every A_i
+    precomputes phi_0..phi_{order_max}(dt A_i), each distinct block built
+    once, and applies them to the (G, L) stack. When every A_i
     is the same matrix, entry k of `_cached` is that one phi_k, an L x L
     view into its build, applied to the whole stack as one gemm.
     Otherwise it is a (G, L, L) stack of the phi_k(dt A_i), each
@@ -503,8 +536,9 @@ class PhiEvaluator:
 
         Block i, of size `sizes[i]`, sits at rows and columns i L onwards,
         as `BandedSparseMatrix.restrict` lays it out. Blocks with equal
-        size and entries share one build, from the block scattered into a
-        dense matrix once. Entry k of the stored sequence,
+        size and entries share one build. The distinct blocks of each size
+        are scattered into one dense (G', n, n) stack and built by one
+        `expm_dense` call. Entry k of the stored sequence,
         0 <= k <= order_max, is phi_k(dt A) itself when all blocks are one
         A, else the (G, L, L) zero-padded stack of the phi_k(dt A_i).
         """
@@ -512,19 +546,25 @@ class PhiEvaluator:
         width = a.n_rows // g
         block, row, col = a.rows // width, a.rows % width, a.cols % width
         bounds = np.searchsorted(block, np.arange(g + 1)).tolist()
-        built, keys = {}, []
+        first, keys = {}, []  # the first block of every distinct operator
         for i, n in enumerate(sizes):
             s = slice(bounds[i], bounds[i + 1])
             keys.append((n, row[s].tobytes(), col[s].tobytes(), a.vals[s].tobytes()))
-            if keys[-1] not in built:
-                dense = np.zeros((n, n), dtype=a.dtype)
-                dense[row[s], col[s]] = dt * a.vals[s]
-                built[keys[-1]] = phi_dense_all(dense, order_max)
+            first.setdefault(keys[-1], s)
+        built = {}
+        for n in dict.fromkeys(key[0] for key in first):
+            group = [key for key in first if key[0] == n]
+            dense = np.zeros((len(group), n, n), dtype=a.dtype)
+            for m, key in enumerate(group):
+                s = first[key]
+                dense[m, row[s], col[s]] = dt * a.vals[s]
+            rows = expm_dense(dense, order_max).reshape(len(group), n, -1, n)
+            built.update(zip(group, rows.transpose(0, 2, 1, 3)))
         if len(built) == 1:
-            (cached,) = built.values()
+            cached = list(*built.values())
         else:
             cached = np.zeros((order_max + 1, g, width, width),
-                              dtype=np.result_type(*(p[0] for p in built.values())))
+                              dtype=np.result_type(*built.values()))
             for i, key in enumerate(keys):
                 cached[:, i, :key[0], :key[0]] = built[key]
         return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=cached)

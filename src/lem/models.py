@@ -16,6 +16,7 @@ two nodes along an axis: the stencil radius is 2, the ghost layers of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -206,22 +207,36 @@ def _stencil(mesh: Mesh, terms,
     offset along axis); ``values`` is a scalar or an array of the mesh
     shape. Periodic axes wrap; on Dirichlet axes entries whose column
     leaves the mesh are dropped. Entries at one position reach the
-    coalescing sum of :class:`BandedSparseMatrix` in term order.
+    coalescing sum of :class:`BandedSparseMatrix` in term order. The row
+    and column indices of a term come from :func:`_stencil_index`, so an
+    assembly only gathers the values.
     """
-    shape = mesh.n
-    node = np.arange(mesh.n_total).reshape(shape)
     rows, cols, vals = [], [], []
     for axis, off, v in terms:
-        keep = [slice(None)] * mesh.dim
-        if mesh.boundary[axis] == "dirichlet":  # rows whose column is inside
-            keep[axis] = slice(max(0, -off), max(0, shape[axis] - off))
-        keep = tuple(keep)
-        rows.append(node[keep].ravel())
-        cols.append(np.roll(node, -off, axis)[keep].ravel())
-        vals.append(np.broadcast_to(v, shape)[keep].ravel())
+        r, c, keep = _stencil_index(mesh, axis, off)
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.broadcast_to(v, mesh.n)[keep].ravel())
     return BandedSparseMatrix(mesh.n_total, mesh.n_total, np.concatenate(rows),
                               np.concatenate(cols), np.concatenate(vals),
                               bandwidth_hint=bandwidth_hint)
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil_index(mesh: Mesh, axis: int, off: int):
+    """(rows, cols, keep) of one :func:`_stencil` term, cached per mesh:
+    the nodes and their neighbours ``off`` along ``axis``, both read-only,
+    and the index of the nodes kept (all on a periodic axis)."""
+    shape = mesh.n
+    node = np.arange(mesh.n_total).reshape(shape)
+    keep = [slice(None)] * mesh.dim
+    if mesh.boundary[axis] == "dirichlet":  # rows whose column is inside
+        keep[axis] = slice(max(0, -off), max(0, shape[axis] - off))
+    keep = tuple(keep)
+    rows = node[keep].ravel()
+    cols = np.roll(node, -off, axis)[keep].ravel()
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, keep
 
 
 def _minmod(dl: np.ndarray, dr: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line entry point: subcommands, outputs, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,19 @@ def test_decay_rejects_bad_courant(tmp_path, capsys, courant):
     rc = main(["decay", "advdiff1d", "--courant", courant, "--out", str(out)])
     assert rc == 1
     assert "--courant must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decay_overflow_is_one_error_line(tmp_path, capsys):
+    # the squarings overflow; numpy's own overflow warnings stay silent,
+    # so the error line is all that reaches stderr
+    out = tmp_path / "profile.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["decay", "advdiff1d", "--courant", "1e300", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: expm_dense: overflow during squaring phase\n"
     assert not out.exists()
 
 

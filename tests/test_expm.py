@@ -26,6 +26,7 @@ from lem import (
 from lem.expm import (_THETA13, KRYLOV_CHECK_EVERY, KRYLOV_M_MAX,
                       _phi_action_krylov, phi_hessenberg_e1)
 from lem.models import (
+    build_advdiff_1d,
     build_advdiff_2d,
     build_advection_dirichlet_1d,
     build_burgers_1d,
@@ -209,13 +210,50 @@ class TestStructuredPhi:
         assert a.shape == (140, 140) and np.iscomplexobj(a)
         assert_blocks_close(phi_dense_all(a, 1), augmented_phis(a, 1), 1e-12)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 16, 33, 60])
+    def test_periodic_band_wraps_onto_itself(self, n):
+        # periodic tridiagonal (advection-diffusion, complex Schrodinger)
+        # and pentadiagonal (random) operators: their corner entries sit on
+        # cyclic diagonals, the band of the Pade polynomials (13 times
+        # theirs) wraps around, and at n < 5 their own diagonals meet
+        rng = np.random.default_rng(n)
+        i = np.arange(n)
+        penta = np.zeros((n, n))
+        for off in range(-2, 3):
+            penta[i, (i + off) % n] += rng.standard_normal(n)
+        ops = [(build_advdiff_1d(n, 10.0, 1.0, 0.025).linear_matrix.to_dense(), 60.0),
+               (build_schrodinger_1d(n, 10.0, 10.0, 0.5).linear_matrix.to_dense(), 60.0),
+               (penta, 20.0)]
+        for op, top in ops:
+            op = op / np.abs(op).sum(axis=0).max()
+            for scale, k in ((0.5, 3), (4.0, 2), (top, 1)):
+                a = scale * op
+                assert_blocks_close(phi_dense_all(a, k), augmented_phis(a, k), 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_dirichlet_windows(self, d):
+        # the clipped end windows and the interior windows of Dirichlet
+        # porous-medium and advection splits, whose Pade bands outgrow the
+        # window
+        for system in (build_porous_1d(60, 10.0),
+                       build_advection_dirichlet_1d(60, 10.0, 1.0)):
+            jac = (system.linear_matrix if system.is_linear
+                   else system.jacobian(system.initial)).to_dense()
+            part = make_partition(system.mesh, d, 6)
+            for nodes, size in zip(part.nodes, part.sizes):
+                win = nodes[:size]
+                op = jac[np.ix_(win, win)]
+                op = op / np.abs(op).sum(axis=0).max()
+                for scale, k in ((0.5, 3), (4.0, 2), (60.0, 1)):
+                    a = scale * op
+                    assert_blocks_close(phi_dense_all(a, k), augmented_phis(a, k), 1e-12)
+
     def test_top_block_row_shape(self):
         a = np.random.default_rng(2).standard_normal((7, 7))
         for k in range(4):
             assert expm_dense(a, k).shape == (7, 7 * (k + 1))
         assert np.array_equal(phi_dense_all(a, 2)[0], expm_dense(a, 2)[:, :7])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             phi_dense_all(1000.0 * np.eye(5), 1)
@@ -393,7 +431,9 @@ class TestDistinctBuilds:
         with mock.patch.object(lem.expm, "expm_dense", counted):
             ev = PhiEvaluator.dense(a_sum, [a.n_rows for a in ops], dt,
                                     order_max)
-        assert len(calls) == len(distinct)
+        # every call builds a (G, n, n) stack: count the members built
+        assert all(len(shape) == 3 for shape in calls)
+        assert sum(shape[0] for shape in calls) == len(distinct)
         shared = len(distinct) == 1
         assert all(phi.ndim == (2 if shared else 3) for phi in ev._cached)
 
@@ -477,8 +517,10 @@ SUBNORMAL_STACK = np.array([[[5e-324, 0.0], [0.0, 0.0]],
 
 
 @st.composite
-def matrix_stacks(draw, hessenberg=False):
-    """A (G, n, n) stack whose members have their own squaring counts."""
+def matrix_stacks(draw, hessenberg=False, banded=False):
+    """A (G, n, n) stack whose members have their own squaring counts, and
+    with `banded`, each its own cyclic band (some members then have zeros
+    on diagonals that others use)."""
     g = draw(st.integers(1, 5))
     n = draw(st.integers(1, 12))
     complex_ = draw(st.booleans())
@@ -486,6 +528,10 @@ def matrix_stacks(draw, hessenberg=False):
     a = rng.standard_normal((g, n, n))
     if complex_:
         a = a + 1j * rng.standard_normal((g, n, n))
+    if banded:
+        d = np.subtract.outer(np.arange(n), np.arange(n)) % n
+        widths = draw(st.lists(st.integers(0, n), min_size=g, max_size=g))
+        a *= np.minimum(d, n - d) <= np.array(widths)[:, None, None]
     a /= np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
     scales = draw(st.lists(st.sampled_from(STACK_SCALES) | st.floats(0.0, 300.0),
                            min_size=g, max_size=g))
@@ -534,9 +580,15 @@ class TestStackedExponential:
             ref = scipy.linalg.expm(m)
             assert np.linalg.norm(member - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_stack_is_k0_only(self):
-        with pytest.raises(ValueError):
-            expm_dense(np.zeros((2, 3, 3)), 1)
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_stacks(banded=True), st.integers(1, 3))
+    @example(SUBNORMAL_STACK, 1)
+    def test_phi_stack_member_is_single_call_bitwise(self, stack, k):
+        got = expm_dense(stack, k)
+        g, n, _ = stack.shape
+        assert got.shape == (g, n, (k + 1) * n)
+        for member, a in zip(got, stack):
+            assert np.array_equal(member, expm_dense(a, k))
 
 
 class TestBatchedKrylov:

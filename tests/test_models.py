@@ -18,7 +18,7 @@ from lem import (
     exact_square_wave,
     stability_params,
 )
-from lem.models import _stencil
+from lem.models import _stencil, _stencil_index
 from lem.sparse import BandedSparseMatrix
 
 
@@ -380,6 +380,16 @@ class TestStencil:
         # the order decides whether 1e-17 survives the cancellation
         assert _stencil(mesh, [(0, 2, 1e-17), (0, -2, 1.0), (0, 6, -1.0)]).nnz == 4
         assert _stencil(mesh, [(0, 2, 1.0), (0, -2, 1e-17), (0, 6, -1.0)]).nnz == 0
+
+    def test_index_arrays_cached_per_term(self):
+        # equal meshes share one read-only copy of a term's index arrays
+        rows, cols, _ = _stencil_index(Mesh.line(6, 6.0), 0, 1)
+        again = _stencil_index(Mesh.line(6, 6.0), 0, 1)
+        assert again[0] is rows and again[1] is cols
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert np.array_equal(cols, (np.arange(6) + 1) % 6)
+        rows, cols, _ = _stencil_index(Mesh.line(6, 6.0, "dirichlet"), 0, 1)
+        assert np.array_equal(rows, np.arange(5)) and np.array_equal(cols, np.arange(1, 6))
 
     def test_bandwidth_hint(self):
         line = Mesh.line(6, 6.0, "dirichlet")

@@ -648,7 +648,8 @@ class TestStackedStep:
 
         with mock.patch.object(lem.expm, "expm_dense", counted):
             step = _StackedStep(system, part, system.initial, 0.0, cfg)
-        assert calls == [(28, 28)]
+        # one stacked call, of one member
+        assert calls == [(1, 28, 28)]
         assert [phi.shape for phi in step.phi_eval._cached] == [(28, 28)] * 2
         assert step.prop.shape == (28, 30)  # one P_i, two edge rows
         u_ref = reference_run_lem(system, part, cfg)
