@@ -213,6 +213,8 @@ def _parse_row(item: str) -> dict:
         key, val = token.split("=", 1)
         if key not in ("C", "mu", "B", "dt"):
             raise ValueError(f"unknown row key {key!r} (use C, mu, B, dt)")
+        if key in row:
+            raise ValueError(f"duplicate key {key}")
         row[key] = float(val)
         if key != "B" and not (math.isfinite(row[key]) and row[key] > 0):
             raise ValueError(f"{key} must be positive and finite, got {val!r}")
@@ -298,7 +300,7 @@ def parse_config(path: str) -> List[BenchCase]:
                 _fail(path, text, section, "methods", f"unknown method {m!r}")
 
         try:
-            d_values = [int(v) for v in sec.get("D", "1").replace(" ", "").split(",") if v]
+            d_values = [int(v) for v in sec.get("D", "1").split(",") if v.strip()]
         except ValueError:
             _fail(path, text, section, "D", f"malformed subdomain list {sec.get('D')!r}")
         if not d_values or min(d_values) < 1:

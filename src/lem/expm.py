@@ -2,30 +2,34 @@
 
 The local exponential method needs three flavors of exponential machinery:
 
-* `expm_dense` - scaling and squaring with a diagonal Pade approximant of
-  order 13, scaling until the 1-norm of the scaled matrix is at most
-  theta_13 = 5.37 (Al-Mohy & Higham, SIMAX 2009). It also takes a
-  (G, n, n) stack, each member scaled and squared as often as it needs
-  alone, so that one call serves many small matrices.
+* `expm_dense` - exp(A) is `scipy.linalg.expm` (Al-Mohy & Higham, SIMAX
+  2009) of A / 2^s, squared s times, with s the fewest squarings that
+  bring ||A||_1 to theta_9 = 2.10 (`_expm`), of one matrix or of each
+  member of a (G, n, n) stack.
 * `phi_k_dense` / `phi_dense_all` - the entire-function family
   phi_0(z) = exp(z), phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!)/z, evaluated for a
   full matrix argument as the top block row of exp(W), with
   W = [[A, I, 0, ...], [0, J_k kron I]], which stays well defined for
   singular arguments. `expm_dense(a, k)` never forms the (k + 1) n matrix
-  W. Block j of the top row of a polynomial in W is itself a polynomial
-  in A, the j-th intermediate of Horner's rule, and functions of a banded
-  operator stay banded (Iserles, BIT 2000). So the Pade numerator and
-  denominator rows come from one Horner pass on A's diagonals, stored
-  cyclically (offset mod n) so that periodic corners, clipped windows and
-  tiny n all come out exact (`_horner_rows`). Only the n x n inverse of
-  the denominator, one n x n by n x (k + 1) n product and the squarings
-  are dense BLAS: about (2 + 2 (k + 1)(1 + s)) n^3 flops for s
-  squarings, where forming the Pade polynomials by six dense block-row
-  products would take (2 + 2 (k + 1)(7 + s)) n^3. Squaring keeps the
+  W. It is the one in-house exponential: scaling and squaring with the
+  diagonal Pade approximant of order 13, scaled until the 1-norm of W is
+  at most theta_13 = 5.37. Block j of the top row of a polynomial in W
+  is itself a polynomial in A, the j-th intermediate of Horner's rule,
+  and functions of a banded operator stay banded (Iserles, BIT 2000). So
+  the Pade numerator and denominator rows come from one Horner pass on
+  A's diagonals, stored cyclically (offset mod n) so that periodic
+  corners, clipped windows and tiny n all come out exact
+  (`_horner_rows`). Only the n x n inverse of the denominator, one
+  n x n by n x (k + 1) n product and the squarings are dense BLAS: about
+  (2 + 2 (k + 1)(1 + s)) n^3 flops for s squarings, where forming the
+  Pade polynomials by six dense block-row products would take
+  (2 + 2 (k + 1)(7 + s)) n^3. Squaring keeps the
   block form [[X, Y_1 ... Y_k], [0, T kron I]] (`_square`), the
   phi-function doubling of Skaflestad & Wright (APNUM 2009); before each
   squaring, entries below eps^2 times the largest are dropped, since
   their subnormal fill-in would slow the squarings several times over.
+  A (G, n, n) stack takes one Horner pass and one batched inverse, then
+  each member is squared as often as it needs alone.
   `PhiEvaluator.dense` builds the stored phi_0 ... phi_k of every distinct
   block of a block-diagonal operator in one stacked call per block size.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
@@ -68,8 +72,10 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 
-# largest 1-norm at which the order-13 Pade approximant has backward error
-# at most the unit roundoff (Al-Mohy & Higham, SIMAX 2009, Table 3.1)
+# largest 1-norms at which the order-9 and order-13 Pade approximants have
+# backward error at most the unit roundoff (Al-Mohy & Higham, SIMAX 2009,
+# Table 3.1)
+_THETA9 = 2.097847961257068
 _THETA13 = 5.371920351148152
 
 # before each squaring of a phi build, entries below this times the largest
@@ -85,36 +91,18 @@ KRYLOV_TOL = 1e-10
 KRYLOV_M_MAX = 60
 
 
-def _pade13(b, ident):
-    """(U, V) of the order-13 Pade approximant (V - U)^{-1} (V + U) to exp(b)."""
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b2 @ b4
-    c = _PADE13
-    u = b @ (
-        b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
-        + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident
-    )
-    v = (
-        b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
-        + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident
-    )
-    return u, v
-
-
 def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     """exp(A) for k = 0, else the top block row [phi_0(A), ..., phi_k(A)].
 
-    For 1 <= k <= 3 this is the n x (k + 1) n top block row of exp(W), with
-    W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the k x k upper shift; it
-    is well defined for singular A. W is never formed (`_phi_row`): the
-    Pade 13 polynomials come from a Horner pass on A's diagonals, and only
-    the denominator inverse, one product and the squarings are dense. The
-    scaling brings ||W||_1 = max(||A||_1, 1) (||A||_1 for k = 0) to at
-    most theta_13, where the approximant's backward error is at most the
-    unit roundoff. `a` may also be a (G, n, n) stack, for which the result
-    is (G, n, n) for k = 0 (`_expm_stack`) and (G, n, (k + 1) n) else;
-    member i of the result equals `expm_dense(a[i], k)` bitwise.
+    For k = 0 this is `scipy.linalg.expm` of a scaled A, then squared
+    (`_expm`). For 1 <= k <= 3 it is the n x (k + 1) n top block
+    row of exp(W), with W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the
+    k x k upper shift; it is well defined for singular A. W is never
+    formed (`_phi_row`): the Pade 13 polynomials come from a Horner pass
+    on A's diagonals, and only the denominator inverse, one product and
+    the squarings are dense. `a` may also be a (G, n, n) stack, for which
+    the result is (G, n, (k + 1) n); member i of the result equals
+    `expm_dense(a[i], k)` bitwise. The result is float64 or complex128.
     Raises ValueError on a non-square or non-finite input and OverflowError
     on overflow.
     """
@@ -130,30 +118,60 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
         return np.zeros(a.shape[:-1] + ((k + 1) * n,), dtype=a.dtype)
 
     stack = a.reshape(-1, n, n)
-    r = _expm_stack(stack) if k == 0 else _phi_row(stack, k)
+    r = _expm(stack) if k == 0 else _phi_row(stack, k)
     r = r.reshape(a.shape[:-1] + (-1,))
     if not np.isfinite(r).all():
         raise OverflowError("expm_dense: overflow during squaring phase")
     return r
 
 
-def _square(f: np.ndarray, t: np.ndarray, out: np.ndarray,
-            scratch: np.ndarray) -> np.ndarray:
-    """Square a (c,) stack of [[X, Y_1 ... Y_k], [0, T kron I]].
+def _squarings(norms: np.ndarray, theta: float) -> list:
+    """Per member, the fewest squarings s that bring its norm to at most theta."""
+    return [math.ceil(math.log2(x / theta)) if x > theta else 0
+            for x in norms.tolist()]
 
-    `f` holds the c top block rows [X, Y_1, ..., Y_k], each n x (k + 1) n,
-    and `t` the c k x k scalar matrices T. The top rows of the squares,
-    [X X, X Y + Y (T kron I)], are written into `out`, with `scratch` (of
-    the shape of `f`) holding the mixed Y (T kron I); returns the c T^2.
-    One n x n by n x (k + 1) n product per member (Skaflestad & Wright,
-    APNUM 2009).
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every member of a (G, n, n) stack, as float64 or complex128.
+
+    `scipy.linalg.expm` of A / 2^s, squared s times, with s the fewest
+    squarings that bring ||A||_1 to at most theta_9. Alone, scipy takes
+    fewer squarings on a non-normal A (the power estimates of Al-Mohy &
+    Higham), which keeps exp(A) accurate in norm but not its entries far
+    below ||exp(A)||: the phi_k(H) e_1 column of `phi_hessenberg_e1`, at
+    ||H||_1 near 100, was off by up to 1.6e-11 relative, and by 3e-14
+    with this scaling. The squarings that every member takes run on the
+    whole stack, the rest member by member.
     """
-    c, n, k = f.shape[0], f.shape[1], t.shape[-1]
-    np.matmul(f[:, :, :n], f, out=out)
+    squarings = _squarings(np.abs(a).sum(axis=1).max(axis=1), _THETA9)
+    scale = np.array([2.0 ** s for s in squarings])[:, None, None]
+    fewest = min(squarings)
+    # overflow stays quiet here, for `expm_dense` to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = scipy.linalg.expm(a / scale)
+        for _ in range(fewest):
+            r = r @ r
+        for x, s in zip(r, squarings):
+            for _ in range(s - fewest):
+                x[:] = x @ x
+    return r
+
+
+def _square(f: np.ndarray, t: np.ndarray, out: np.ndarray,
+            mixed: np.ndarray) -> np.ndarray:
+    """Square [[X, Y_1 ... Y_k], [0, T kron I]].
+
+    `f` holds the top block row [X, Y_1, ..., Y_k], n x (k + 1) n, and `t`
+    the k x k scalar matrix T. The top row of the square,
+    [X X, X Y + Y (T kron I)], is written into `out`, with the (n, k, n)
+    `mixed` holding Y (T kron I); returns T^2. One n x n by n x (k + 1) n
+    product (Skaflestad & Wright, APNUM 2009).
+    """
+    n, k = f.shape[0], t.shape[-1]
+    np.matmul(f[:, :n], f, out=out)
     # column block j of Y (T kron I) is sum_i T[i, j] Y_i
-    mixed = scratch.reshape(c, -1)[:, :k * n * n].reshape(c, n, k, n)
-    np.matmul(t.swapaxes(1, 2)[:, None], f[:, :, n:].reshape(c, n, k, n), out=mixed)
-    out[:, :, n:] += mixed.reshape(c, n, k * n)
+    np.matmul(t.T, f[:, n:].reshape(n, k, n), out=mixed)
+    out[:, n:] += mixed.reshape(n, k * n)
     return t @ t
 
 
@@ -218,25 +236,23 @@ def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
     so the top row of q^{-1} p is Q_0^{-1} [P_0, P_Y - Q_Y (S kron I)]
     with S = T_q^{-1} T_p, and its lower rows are S kron I. The bracket is
     formed on the diagonals too: only the n x n inverse Q_0^{-1}, its
-    product with the bracket and the squarings are dense. Squaring j runs
-    on the members with s > j, a prefix of the stack sorted by s; before
-    each, entries below eps^2 times the member's largest are set to zero.
+    product with the bracket and the squarings are dense. Each member is
+    squared on its own, s times; before each squaring, its entries below
+    eps^2 times its largest are set to zero.
     Squarings that overflow leave inf or nan for `expm_dense` to report.
     Every product and solve is one BLAS or LAPACK call per member, so
     member g of the result does not depend on the rest of the stack.
     """
     g, n = a.shape[0], a.shape[-1]
-    norms = np.maximum(np.abs(a).sum(axis=1).max(axis=1), 1.0).tolist()
-    squarings = [max(0, math.ceil(math.log2(x / _THETA13))) for x in norms]
-    order = np.argsort([-s for s in squarings], kind="stable")
-    squarings = [squarings[i] for i in order]
+    squarings = _squarings(np.maximum(np.abs(a).sum(axis=1).max(axis=1), 1.0),
+                           _THETA13)
     dtype = np.promote_types(a.dtype, np.float64)
     i = np.arange(n)
     rows, cols = np.nonzero(np.any(a != 0, axis=0))
     off = np.union1d(_wrap(cols - rows, n), 0)  # every member's diagonals
     scale = np.array([2.0 ** s for s in squarings])
     # b[g, t, i] = B_g[i, (i + off[t]) mod n]
-    b = a[order[:, None, None], i, (i + off[:, None]) % n] / scale[:, None, None]
+    b = a[:, i, (i + off[:, None]) % n] / scale[:, None, None]
     h, h_off = _horner_rows(np.concatenate([b, -b]), off, k)
 
     # block j of the top rows of p(W / 2^s) and q(W / 2^s), and T_p, T_q;
@@ -254,59 +270,28 @@ def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
         for m in range(1, k + 1):
             p_row[:, j] -= t[:, m - 1, j - 1, None, None] * q_row[:, m]
 
-    # dense: Q_0^{-1} times the row, then the squarings, which alternate
-    # between `f` and `spare` and end in `f` for the first member
+    # dense: Q_0^{-1} times the row, then each member's own squarings,
+    # which alternate between its place in `f` and `spare`; the one not
+    # holding the member holds |F| before each squaring
     col = (i + h_off[:, None]) % n
     q_0 = np.zeros((g, n, n), dtype=dtype)
     q_0[:, i, col] = q_row[:, 0]
-    f = np.empty((g, n, (k + 1) * n), dtype=dtype)
-    spare, scratch = np.zeros((2,) + f.shape, dtype=dtype)
-    scratch[:, i, col + n * np.arange(k + 1)[:, None, None]] = p_row
-    bufs = (f, spare) if squarings[0] % 2 == 0 else (spare, f)
-    np.matmul(scipy.linalg.inv(q_0, check_finite=False), scratch, out=bufs[0])
-    mag = scratch.real  # |F| in the scratch, free between squarings
-    drop = np.empty(mag.shape, dtype=bool)
+    f = np.zeros((g, n, (k + 1) * n), dtype=dtype)
+    f[:, i, col + n * np.arange(k + 1)[:, None, None]] = p_row
+    f = np.matmul(scipy.linalg.inv(q_0, check_finite=False), f)
+    spare = np.empty(f.shape[1:], dtype=dtype)
+    mixed = np.empty((n, k, n), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(squarings[0]):
-            live = sum(s > j for s in squarings)
-            x, y = bufs[j % 2][:live], bufs[1 - j % 2][:live]
-            np.abs(x, out=mag[:live])
-            top = mag[:live].max(axis=(1, 2))
-            np.less(mag[:live], _DROP * top[:, None, None], out=drop[:live])
-            np.copyto(x, 0.0, where=drop[:live])
-            t[:live] = _square(x, t[:live], y, scratch[:live])
-    moved = [m for m, s in enumerate(squarings) if bufs[s % 2] is spare]
-    f[moved] = spare[moved]
-    return f[np.argsort(order)] if (np.diff(order) < 0).any() else f
-
-
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """exp of every member of a (G, n, n) stack, in one batched Pade 13.
-
-    Each member is scaled by its own 2^-s, with s the fewest squarings that
-    bring its 1-norm to at most theta_13, and squaring j runs only on the
-    members with s > j. Every product and solve is one BLAS or LAPACK call
-    per member with that member's operands alone, so a member's result
-    does not depend on the rest of the stack. Zero members give I exactly.
-    """
-    norms = np.abs(a).sum(axis=1).max(axis=1).tolist()
-    squarings = [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
-                 for x in norms]
-    b = a / np.array([2.0 ** s for s in squarings]).reshape(-1, 1, 1)
-    n = a.shape[-1]
-    u, v = _pade13(b, np.eye(n, dtype=b.dtype))
-    r = np.linalg.solve(v - u, v + u)
-    fewest = min(squarings)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(max(squarings)):
-            if j < fewest:
-                r = r @ r
-            else:
-                todo = np.array(squarings) > j
-                r[todo] = r[todo] @ r[todo]
-    if not all(norms):
-        r[np.array(norms) == 0] = np.eye(n)
-    return r
+        for m, s in enumerate(squarings):
+            x, y, t_m = f[m], spare, t[m]
+            for _ in range(s):
+                mag = np.abs(x, out=y.real)
+                np.copyto(x, 0.0, where=mag < _DROP * mag.max())
+                t_m = _square(x, t_m, y, mixed)
+                x, y = y, x
+            if s % 2:
+                f[m] = x
+    return f
 
 
 def phi_dense_all(a: np.ndarray, k_max: int) -> list[np.ndarray]:

@@ -149,9 +149,9 @@ class BarenblattParams:
 class SemiDiscreteSystem:
     """A spatially discretized PDE as an ODE system du/dt = rhs(u, t).
 
-    ``jacobian`` returns the analytic Jacobian of ``rhs`` at a state; for
-    linear systems it is the constant matrix ``linear_matrix`` and
-    ``rhs(u, t) == linear_matrix @ u`` exactly.
+    ``jacobian`` returns the analytic Jacobian of ``rhs`` at a state. A
+    system is linear exactly when it has a ``linear_matrix``: the Jacobian
+    is then that constant matrix and ``rhs(u, t) == linear_matrix @ u``.
     ``wave_speed``/``diffusivity`` report the coefficients entering the
     Courant and diffusion numbers, evaluated at a state for nonlinear
     problems.
@@ -162,12 +162,15 @@ class SemiDiscreteSystem:
     rhs: Callable[[np.ndarray, float], np.ndarray]
     jacobian: Callable[[np.ndarray], BandedSparseMatrix]
     initial: np.ndarray
-    is_linear: bool = False
     linear_matrix: Optional[BandedSparseMatrix] = None
     exact: Optional[Callable[[float], np.ndarray]] = None
     wave_speed: Callable[[np.ndarray], float] = lambda u: 0.0
     diffusivity: Callable[[np.ndarray], float] = lambda u: 0.0
     params: dict = field(default_factory=dict)
+
+    @property
+    def is_linear(self) -> bool:
+        return self.linear_matrix is not None
 
     @property
     def n(self) -> int:
@@ -340,8 +343,8 @@ def _linear_system(kind: str, mesh: Mesh, a: BandedSparseMatrix,
     """du/dt = a u with a constant wave speed and diffusivity."""
     return SemiDiscreteSystem(
         kind=kind, mesh=mesh, rhs=lambda u, t: a.matvec(u),
-        jacobian=lambda u: a, initial=initial, is_linear=True,
-        linear_matrix=a, wave_speed=lambda u: speed,
+        jacobian=lambda u: a, initial=initial, linear_matrix=a,
+        wave_speed=lambda u: speed,
         diffusivity=lambda u: nu, params=params)
 
 

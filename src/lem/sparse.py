@@ -138,13 +138,10 @@ class BandedSparseMatrix:
         first = np.cumsum(count) - count  # each row's first entry in pos
         pos = np.arange(owner.size) + np.repeat(start - first, count)
         cols = self.cols[pos]
-        # (window, node) keys of every slot, sorted, looked up per entry
-        key = slot // width * self.n_cols + node
-        order = np.argsort(key)
-        key = key[order]
-        want = slot[owner] // width * self.n_cols + cols
-        at = np.minimum(np.searchsorted(key, want), key.size - 1)
-        local = np.where(key[at] == want, slot[order[at]], -1)
+        # the slot of every (window, node) pair, looked up per entry
+        where = np.full((d, self.n_cols), -1)
+        where[slot // width, node] = slot
+        local = where[slot[owner] // width, cols]
         return slot[owner], cols, self.vals[pos], local
 
     def restrict(self, nodes: np.ndarray, pads: np.ndarray | None = None

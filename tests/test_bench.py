@@ -158,6 +158,11 @@ class TestParseConfig:
          "[two]\ncase = advdiff1d\nrows = C=1 B=x\n", "rows entry 1", 7),
         ("[DENSE]\ncase = advdiff1d\nD = 1, x\nrows = C=1 B=8\n",
          "malformed subdomain list", 3),
+        # a space is no separator: "1 2" is not read as 12
+        ("[advdiff1d]\nD = 1 2\nrows = C=1 B=8\n", "malformed subdomain list", 2),
+        ("[advdiff1d]\nrows = C=1 B=2 C=4\n", "rows entry 1: duplicate key C", 2),
+        ("[advdiff1d]\nrows = C=1 B=2; dt=0.1 B=4 B=4\n",
+         "rows entry 2: duplicate key B", 2),
         ("[advdiff1d]\n# T is the horizon\nT = soon\nrows = C=1 B=8\n",
          "malformed number", 3),
         ("[advdiff1d]\nrows = C=1 B=8\nREFRESH: 0\n", "at least 1", 3),

@@ -6,6 +6,7 @@ import pytest
 from lem import (
     BarenblattParams,
     Mesh,
+    SemiDiscreteSystem,
     build_advdiff_1d,
     build_advdiff_2d,
     build_advection_dirichlet_1d,
@@ -57,6 +58,17 @@ def kink_safe_state(system, seed, smooth_scale=0.3):
         if margin > 1e-4 and np.min(np.abs(u)) > 1e-3:
             return u
         seed += 1000
+
+
+class TestSemiDiscreteSystem:
+    def test_linear_exactly_when_it_has_a_matrix(self):
+        a = BandedSparseMatrix.from_dense(np.eye(4))
+        fields = dict(kind="t", mesh=Mesh.line(4, 1.0), rhs=lambda u, t: u,
+                      jacobian=lambda u: a, initial=np.ones(4))
+        assert SemiDiscreteSystem(**fields, linear_matrix=a).is_linear
+        assert not SemiDiscreteSystem(**fields).is_linear
+        with pytest.raises(TypeError):
+            SemiDiscreteSystem(**fields, is_linear=True)
 
 
 class TestMesh:

@@ -494,7 +494,7 @@ def banded_systems(draw):
     initial = draw_vals(n) * 0.5
     if linear:
         return SemiDiscreteSystem(
-            kind="random", mesh=mesh, is_linear=True, linear_matrix=a,
+            kind="random", mesh=mesh, linear_matrix=a,
             initial=initial, rhs=lambda u, t: a.matvec(u),
             jacobian=lambda u: a)
     dense = a.to_dense()
