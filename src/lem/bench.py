@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from configparser import (ConfigParser, DuplicateOptionError,
                           DuplicateSectionError, Error as ConfigParserError,
@@ -205,6 +206,23 @@ def _syntax_error(path: str, exc: ConfigParserError) -> ConfigError:
     return ConfigError(f"{where}: {msg}")
 
 
+# the numbers a config may hold: ASCII decimal literals, plus nan and inf
+# for the range checks to name
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                      r"|inf|infinity|nan)", re.IGNORECASE)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _number(text: str, kind=float):
+    """`kind(text)` for an ASCII decimal literal, an integer one for
+    kind=int. Python's own parsers also read digit-group underscores
+    (1_0 is 10) and non-ASCII digits; here those raise ValueError."""
+    text = text.strip()
+    if not (_INTEGER if kind is int else _DECIMAL).fullmatch(text):
+        raise ValueError(f"malformed number {text!r}")
+    return kind(text)
+
+
 def _parse_row(item: str) -> dict:
     row = {}
     for token in item.split():
@@ -215,7 +233,7 @@ def _parse_row(item: str) -> dict:
             raise ValueError(f"unknown row key {key!r} (use C, mu, B, dt)")
         if key in row:
             raise ValueError(f"duplicate key {key}")
-        row[key] = float(val)
+        row[key] = _number(val)
         if key != "B" and not (math.isfinite(row[key]) and row[key] > 0):
             raise ValueError(f"{key} must be positive and finite, got {val!r}")
     if "B" not in row:
@@ -250,7 +268,7 @@ def parse_config(path: str) -> List[BenchCase]:
         for key, default in reg["params"].items():
             if key in sec:
                 try:
-                    params[key] = float(sec[key])
+                    params[key] = _number(sec[key])
                 except ValueError:
                     _fail(path, text, section, key,
                           f"malformed number {sec[key]!r} for {key}")
@@ -277,7 +295,7 @@ def parse_config(path: str) -> List[BenchCase]:
         t_end = reg["T"]
         if "T" in sec:
             try:
-                t_end = float(sec["T"])
+                t_end = _number(sec["T"])
             except ValueError:
                 _fail(path, text, section, "T",
                       f"malformed number {sec['T']!r} for T")
@@ -300,7 +318,8 @@ def parse_config(path: str) -> List[BenchCase]:
                 _fail(path, text, section, "methods", f"unknown method {m!r}")
 
         try:
-            d_values = [int(v) for v in sec.get("D", "1").split(",") if v.strip()]
+            d_values = [_number(v, int) for v in sec.get("D", "1").split(",")
+                        if v.strip()]
         except ValueError:
             _fail(path, text, section, "D", f"malformed subdomain list {sec.get('D')!r}")
         if not d_values or min(d_values) < 1:
@@ -327,7 +346,7 @@ def parse_config(path: str) -> List[BenchCase]:
         refresh = None
         if "refresh" in sec:
             try:
-                refresh = int(sec["refresh"])
+                refresh = _number(sec["refresh"], int)
             except ValueError:
                 _fail(path, text, section, "refresh",
                       f"malformed refresh {sec['refresh']!r}")
@@ -342,7 +361,7 @@ def parse_config(path: str) -> List[BenchCase]:
         reference_tol = 1e-9
         if "reference_tol" in sec:
             try:
-                reference_tol = float(sec["reference_tol"])
+                reference_tol = _number(sec["reference_tol"])
             except ValueError:
                 _fail(path, text, section, "reference_tol",
                       f"malformed number {sec['reference_tol']!r} for reference_tol")

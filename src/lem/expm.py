@@ -12,26 +12,31 @@ The local exponential method needs three flavors of exponential machinery:
   W = [[A, I, 0, ...], [0, J_k kron I]], which stays well defined for
   singular arguments. `expm_dense(a, k)` never forms the (k + 1) n matrix
   W. It is the one in-house exponential: scaling and squaring with the
-  diagonal Pade approximant of order 13, scaled until the 1-norm of W is
-  at most theta_13 = 5.37. Block j of the top row of a polynomial in W
-  is itself a polynomial in A, the j-th intermediate of Horner's rule,
-  and functions of a banded operator stay banded (Iserles, BIT 2000). So
-  the Pade numerator and denominator rows come from one Horner pass on
-  A's diagonals, stored cyclically (offset mod n) so that periodic
-  corners, clipped windows and tiny n all come out exact
-  (`_horner_rows`). Only the n x n inverse of the denominator, one
-  n x n by n x (k + 1) n product and the squarings are dense BLAS: about
-  (2 + 2 (k + 1)(1 + s)) n^3 flops for s squarings, where forming the
-  Pade polynomials by six dense block-row products would take
-  (2 + 2 (k + 1)(7 + s)) n^3. Squaring keeps the
-  block form [[X, Y_1 ... Y_k], [0, T kron I]] (`_square`), the
-  phi-function doubling of Skaflestad & Wright (APNUM 2009); before each
-  squaring, entries below eps^2 times the largest are dropped, since
-  their subnormal fill-in would slow the squarings several times over.
-  A (G, n, n) stack takes one Horner pass and one batched inverse, then
-  each member is squared as often as it needs alone.
-  `PhiEvaluator.dense` builds the stored phi_0 ... phi_k of every distinct
-  block of a block-diagonal operator in one stacked call per block size.
+  diagonal Pade approximant of order 13, scaled by 2^-s until the 1-norm
+  of W is at most theta_13 = 5.37. Block j of the top row of a polynomial
+  in W is itself a polynomial in B = A / 2^s, the j-th intermediate of
+  Horner's rule, and functions of a banded operator stay banded (Iserles,
+  BIT 2000). So the Pade numerator and denominator rows come from one
+  Horner pass on B's diagonals, stored cyclically (offset mod n) so that
+  periodic corners, clipped windows and tiny n all come out exact
+  (`_horner_rows`, `_pade_row`); only the n x n inverse of the
+  denominator and one n x n by n x (k + 1) n product are dense BLAS.
+  Squaring the block form [[X, Y_1 ... Y_k], [0, T kron I]] gives
+  [X X, X Y + Y (T kron I)], the phi-function doubling of Skaflestad &
+  Wright (APNUM 2009): the Y blocks never enter X, and they act column
+  by column, as in the action-of-exp approach of Al-Mohy & Higham (SISC
+  2011). So only exp(B) is squared, and its ladder of squares X_0 ... X_s
+  is kept (`_Ladder`); phi_j climbs it on the columns it is applied to
+  (`_Ladder.climb`). Before each squaring, entries of X below eps^2 times
+  its largest are dropped, since their subnormal fill-in would slow the
+  squarings several times over. A build costs
+  (2 + 2 (k + 1) + 2 s) n^3 flops, and applying phi_k to c columns
+  2 k (1 + s) n^2 c; `expm_dense(a, k)` climbs on the n columns of the
+  identity, (2 + 2 (k + 1)(1 + s)) n^3 in all. A (G, n, n) stack takes
+  one Horner pass and one batched inverse, and each level of the ladder
+  one batched product over the members that still have squarings left.
+  `PhiEvaluator.dense` builds every distinct block of a block-diagonal
+  operator in one stacked call per block size, then squares its exp.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -98,13 +103,15 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     (`_expm`). For 1 <= k <= 3 it is the n x (k + 1) n top block
     row of exp(W), with W = [[A, I, 0, ...], [0, J_k kron I]] and J_k the
     k x k upper shift; it is well defined for singular A. W is never
-    formed (`_phi_row`): the Pade 13 polynomials come from a Horner pass
-    on A's diagonals, and only the denominator inverse, one product and
-    the squarings are dense. `a` may also be a (G, n, n) stack, for which
-    the result is (G, n, (k + 1) n); member i of the result equals
-    `expm_dense(a[i], k)` bitwise. The result is float64 or complex128.
-    Raises ValueError on a non-square or non-finite input and OverflowError
-    on overflow.
+    formed: A is scaled to B = A / 2^s, the Pade 13 row of B comes from a
+    Horner pass on B's diagonals (`_pade_row`), exp(B) alone is squared
+    s times (`_Ladder`) and the phi_j blocks climb that ladder as the
+    columns of the identity (`_Ladder.climb`), about
+    (2 + 2 (k + 1)(1 + s)) n^3 flops. `a` may also be a (G, n, n) stack,
+    for which the result is (G, n, (k + 1) n); member i of the result
+    equals `expm_dense(a[i], k)` bitwise. The result is float64 or
+    complex128. Raises ValueError on a non-square or non-finite input and
+    OverflowError on overflow.
     """
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -118,7 +125,17 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
         return np.zeros(a.shape[:-1] + ((k + 1) * n,), dtype=a.dtype)
 
     stack = a.reshape(-1, n, n)
-    r = _expm(stack) if k == 0 else _phi_row(stack, k)
+    if k == 0:
+        r = _expm(stack)
+    else:
+        squarings = _phi_squarings(stack)
+        r = _pade_row(stack, squarings, k)
+        if squarings.any():  # PhiEvaluator.dense scales beforehand, to skip this
+            ladder = _Ladder(r[:, :, :n], squarings)
+            y = r[:, None, :, n:].reshape(-1, 1, n, k, n) * _powers(squarings, k)[
+                :, None, None, :, None]
+            r = np.concatenate((ladder.top, ladder.climb(y).reshape(-1, n, k * n)),
+                               axis=-1)
     r = r.reshape(a.shape[:-1] + (-1,))
     if not np.isfinite(r).all():
         raise OverflowError("expm_dense: overflow during squaring phase")
@@ -129,6 +146,18 @@ def _squarings(norms: np.ndarray, theta: float) -> list:
     """Per member, the fewest squarings s that bring its norm to at most theta."""
     return [math.ceil(math.log2(x / theta)) if x > theta else 0
             for x in norms.tolist()]
+
+
+def _phi_squarings(a: np.ndarray) -> np.ndarray:
+    """Per member of a (G, n, n) stack, the fewest squarings s that bring
+    ||W||_1 = max(||A||_1, 1) to at most theta_13."""
+    return np.array(_squarings(np.maximum(np.abs(a).sum(axis=1).max(axis=1), 1.0),
+                               _THETA13), dtype=np.intp)
+
+
+def _powers(squarings: np.ndarray, k: int) -> np.ndarray:
+    """(G, k): 2^(-s j) for j = 1 .. k, exact powers of two."""
+    return np.ldexp(1.0, -np.outer(squarings, np.arange(1, k + 1)))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -157,22 +186,72 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _square(f: np.ndarray, t: np.ndarray, out: np.ndarray,
-            mixed: np.ndarray) -> np.ndarray:
-    """Square [[X, Y_1 ... Y_k], [0, T kron I]].
+class _Ladder:
+    """exp(B_i) squared s_i times for each member of a (G, n, n) stack,
+    and every square on the way, for phi_j to climb.
 
-    `f` holds the top block row [X, Y_1, ..., Y_k], n x (k + 1) n, and `t`
-    the k x k scalar matrix T. The top row of the square,
-    [X X, X Y + Y (T kron I)], is written into `out`, with the (n, k, n)
-    `mixed` holding Y (T kron I); returns T^2. One n x n by n x (k + 1) n
-    product (Skaflestad & Wright, APNUM 2009).
+    With B = A / 2^s, the top block row of exp(2^r W / 2^s) is
+    [X_r, Y_r1 ... Y_rk], X_r = exp(2^r B), and squaring the block form
+    [[X, Y], [0, T kron I]] gives the top row [X X, X Y + Y (T kron I)]
+    (Skaflestad & Wright, APNUM 2009). The Y blocks never enter the
+    X blocks, so only X is squared: `top` is X_s, in member order, and
+    `levels[r]` the stack of X_r of the members with s_i > r, members
+    sorted by s (most squarings first, `order`). Before each squaring,
+    entries of X below eps^2 times its largest are set to zero, since
+    their subnormal fill-in would slow the squarings several times over.
+    Each level is one batched product, one BLAS call per member, so
+    member i does not depend on the rest of the stack. Squarings that
+    overflow leave inf or nan for the caller to report.
     """
-    n, k = f.shape[0], t.shape[-1]
-    np.matmul(f[:, :n], f, out=out)
-    # column block j of Y (T kron I) is sum_i T[i, j] Y_i
-    np.matmul(t.T, f[:, n:].reshape(n, k, n), out=mixed)
-    out[:, n:] += mixed.reshape(n, k * n)
-    return t @ t
+
+    __slots__ = ("order", "sorted_squarings", "levels", "top")
+
+    def __init__(self, x: np.ndarray, squarings: np.ndarray):
+        self.order = np.argsort(-squarings, kind="stable")
+        self.sorted_squarings = squarings[self.order]
+        self.top = np.array(x)  # X_0, then X_s of each member squared
+        self.levels = []
+        x = self.top[self.order[:np.count_nonzero(squarings)]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(int(squarings.max(initial=0))):
+                live = int(np.count_nonzero(self.sorted_squarings > r))
+                self.top[self.order[live:len(x)]] = x[live:]  # s_i = r
+                x = x[:live]
+                mag = np.abs(x)
+                np.copyto(x, 0.0, where=mag < _DROP * mag.max(axis=(1, 2), keepdims=True))
+                self.levels.append(x)
+                x = x @ x
+        self.top[self.order[:len(x)]] = x
+
+    def climb(self, y: np.ndarray) -> np.ndarray:
+        """Y_s V from the (G, m, n, k, c) stack Y_0 V, in member order.
+
+        Block j of Y_0 V is 2^(-s j) phi_j(B) V, for m sets of c columns
+        V per member, and each level takes Y <- X_r Y + Y (T_r kron I),
+        T_r = exp(2^(r - s) J_k): one batched product with the members
+        that still have squarings left, so member i stops at its own s_i,
+        and one n x n by n x k c product per set of columns. Block j of
+        the result is phi_j(A) V; 2 k s n^2 m c flops for s squarings.
+        """
+        k = y.shape[3]
+        y = y[self.order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, x in enumerate(self.levels):
+                live = len(x)
+                old = y[:live]
+                new = np.matmul(x[:, None], old.reshape(old.shape[:3] + (-1,)))
+                new = new.reshape(old.shape)
+                new += old  # the unit diagonal of T_r
+                if k > 1:  # T_r[i, j] = h^(j - i) / (j - i)!, h = 2^(r - s)
+                    h = np.ldexp(1.0, r - self.sorted_squarings[:live])[:, None, None, None]
+                    for j in range(1, k):
+                        for i in range(j):
+                            new[:, :, :, j] += (h ** (j - i) / math.factorial(j - i)
+                                                * old[:, :, :, i])
+                y[:live] = new
+        out = np.empty_like(y)
+        out[self.order] = y
+        return out
 
 
 def _horner_rows(b: np.ndarray, off: np.ndarray, k: int):
@@ -222,76 +301,50 @@ def _wrap(d, n: int):
     return (d + n // 2) % n - n // 2
 
 
-def _phi_row(a: np.ndarray, k: int) -> np.ndarray:
-    """The top block rows of exp(W) for a (G, n, n) stack, 1 <= k <= 3.
+def _pade_row(a: np.ndarray, squarings: np.ndarray, k: int) -> np.ndarray:
+    """The Pade 13 top block rows [phi_0(B) ... phi_k(B)] of a (G, n, n)
+    stack, each member scaled to B = A / 2^s by its own `squarings` s so
+    that max(||B||_1, 1) <= theta_13, 1 <= k <= 3.
 
-    Member g is scaled by its own 2^-s, s the fewest squarings that bring
-    ||W||_1 = max(||A||_1, 1) to at most theta_13, and B = A / 2^s. Block
-    j of the top row of p(W / 2^s), for p the Pade numerator, is
-    2^(-s j) H_j(B), with H_j the j-th Horner intermediate of p; the
-    denominator q(W) = p(-W) has (-2^-s)^j H_j(-B). One `_horner_rows`
+    Block j of the top row of p(W), W = [[B, I, 0, ...], [0, J_k kron I]]
+    and p the Pade numerator, is H_j(B), the j-th Horner intermediate of
+    p; the denominator q(W) = p(-W) has (-1)^j H_j(-B). One `_horner_rows`
     pass on the diagonals of B and -B together forms both, in
     O((k + 1) m n) work for an operator of band m. The lower block rows of
-    p and q are T_p kron I and T_q kron I, T = sum_m c_m (+-J_k / 2^s)^m,
-    so the top row of q^{-1} p is Q_0^{-1} [P_0, P_Y - Q_Y (S kron I)]
-    with S = T_q^{-1} T_p, and its lower rows are S kron I. The bracket is
-    formed on the diagonals too: only the n x n inverse Q_0^{-1}, its
-    product with the bracket and the squarings are dense. Each member is
-    squared on its own, s times; before each squaring, its entries below
-    eps^2 times its largest are set to zero.
-    Squarings that overflow leave inf or nan for `expm_dense` to report.
-    Every product and solve is one BLAS or LAPACK call per member, so
-    member g of the result does not depend on the rest of the stack.
+    p and q are T_p kron I and T_q kron I, T = sum_m c_m (+-J_k)^m, so the
+    top row of q^{-1} p is Q_0^{-1} [P_0, P_Y - Q_Y (S kron I)] with
+    S = T_q^{-1} T_p. The bracket is formed on the diagonals too: only the
+    n x n inverse Q_0^{-1} and its product with the bracket are dense, one
+    LAPACK or BLAS call per member, so member g of the result does not
+    depend on the rest of the stack.
     """
     g, n = a.shape[0], a.shape[-1]
-    squarings = _squarings(np.maximum(np.abs(a).sum(axis=1).max(axis=1), 1.0),
-                           _THETA13)
     dtype = np.promote_types(a.dtype, np.float64)
     i = np.arange(n)
     rows, cols = np.nonzero(np.any(a != 0, axis=0))
     off = np.union1d(_wrap(cols - rows, n), 0)  # every member's diagonals
-    scale = np.array([2.0 ** s for s in squarings])
-    # b[g, t, i] = B_g[i, (i + off[t]) mod n]
-    b = a[:, i, (i + off[:, None]) % n] / scale[:, None, None]
-    h, h_off = _horner_rows(np.concatenate([b, -b]), off, k)
+    # d[g, t, i] = B_g[i, (i + off[t]) mod n]; the powers of 2 are exact
+    d = a[:, i, (i + off[:, None]) % n] * _powers(squarings, 1)[:, :, None]
+    h, h_off = _horner_rows(np.concatenate([d, -d]), off, k)
 
-    # block j of the top rows of p(W / 2^s) and q(W / 2^s), and T_p, T_q;
-    # the powers of 2^-s are exact
     c = _PADE13
-    pw = (1.0 / scale[:, None]) ** np.arange(k + 1)
     sign = (-1.0) ** np.arange(k + 1)
-    p_row = h[:g] * pw[:, :, None, None]
-    q_row = h[g:] * (sign * pw)[:, :, None, None]
-    t_p = sum(c[m] * pw[:, m, None, None] * np.eye(k, k=m) for m in range(k))
-    t_q = sum(c[m] * sign[m] * pw[:, m, None, None] * np.eye(k, k=m) for m in range(k))
+    p_row = h[:g]
+    q_row = h[g:] * sign[:, None, None]
+    t_p = sum(c[m] * np.eye(k, k=m) for m in range(k))
+    t_q = sum(c[m] * sign[m] * np.eye(k, k=m) for m in range(k))
     t = np.linalg.solve(t_q, t_p)
     # P_Y - Q_Y (S kron I): block j takes sum_m S[m, j] Q_m off P_j
     for j in range(1, k + 1):
         for m in range(1, k + 1):
-            p_row[:, j] -= t[:, m - 1, j - 1, None, None] * q_row[:, m]
+            p_row[:, j] -= t[m - 1, j - 1] * q_row[:, m]
 
-    # dense: Q_0^{-1} times the row, then each member's own squarings,
-    # which alternate between its place in `f` and `spare`; the one not
-    # holding the member holds |F| before each squaring
     col = (i + h_off[:, None]) % n
     q_0 = np.zeros((g, n, n), dtype=dtype)
     q_0[:, i, col] = q_row[:, 0]
     f = np.zeros((g, n, (k + 1) * n), dtype=dtype)
     f[:, i, col + n * np.arange(k + 1)[:, None, None]] = p_row
-    f = np.matmul(scipy.linalg.inv(q_0, check_finite=False), f)
-    spare = np.empty(f.shape[1:], dtype=dtype)
-    mixed = np.empty((n, k, n), dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, s in enumerate(squarings):
-            x, y, t_m = f[m], spare, t[m]
-            for _ in range(s):
-                mag = np.abs(x, out=y.real)
-                np.copyto(x, 0.0, where=mag < _DROP * mag.max())
-                t_m = _square(x, t_m, y, mixed)
-                x, y = y, x
-            if s % 2:
-                f[m] = x
-    return f
+    return np.matmul(scipy.linalg.inv(q_0, check_finite=False), f)
 
 
 def phi_dense_all(a: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -487,20 +540,52 @@ def stack_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (p @ x[..., None])[..., 0]
 
 
+class _Builds:
+    """The distinct blocks of one size n of a DenseStored evaluator.
+
+    `windows` lists the blocks of the evaluator's operator that have size
+    n, `build` the distinct block each one is and `slot` its rank among
+    the blocks equal to it. `rows` stacks 2^(-s j) phi_j(B) for
+    j = 1 .. order_max of every distinct block, (G', k n, n), and
+    `ladder` holds the squares of its exp(B).
+    """
+
+    __slots__ = ("n", "windows", "build", "slot", "rows", "ladder")
+
+    def __init__(self, n, windows, build, slot, rows, ladder):
+        self.n, self.rows, self.ladder = n, rows, ladder
+        self.windows, self.build, self.slot = (
+            np.asarray(v, dtype=np.intp) for v in (windows, build, slot))
+
+    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
+        """phi_k(dt A_i) x_i for the (c, G_w, n) stack x of these blocks.
+
+        The c columns of each block climb its build's ladder in a product
+        of their own, so block i's result depends only on its own build
+        and columns, bitwise.
+        """
+        c, _, n = x.shape
+        g, m = len(self.rows), int(self.slot.max()) + 1
+        v = np.zeros((g, m, n, c), dtype=np.result_type(self.rows, x))
+        v[self.build, self.slot] = x.transpose(1, 2, 0)
+        y = np.matmul(self.rows[:, None, :k * n], v).reshape(g, m, k, n, c)
+        y = self.ladder.climb(y.transpose(0, 1, 3, 2, 4))[:, :, :, k - 1]
+        return y[self.build, self.slot].transpose(2, 0, 1)
+
+
 @dataclass
 class PhiEvaluator:
-    """phi_k applications behind one interface, dense-cached or Krylov.
+    """phi_k applications behind one interface, dense-built or Krylov.
 
     Both modes take one operator A = diag(A_1 ... A_G) on a zero-padded
-    (G, L) stack (`BandedSparseMatrix.restrict`). DenseStored mode
-    precomputes phi_0..phi_{order_max}(dt A_i), each distinct block built
-    once, and applies them to the (G, L) stack. When every A_i
-    is the same matrix, entry k of `_cached` is that one phi_k, an L x L
-    view into its build, applied to the whole stack as one gemm.
-    Otherwise it is a (G, L, L) stack of the phi_k(dt A_i), each
-    zero-padded to L, applied as one batched product. phi_0 = exp(dt A_i)
-    is kept for callers that compose a step from the stored matrices
-    (`stored`); `apply` takes k >= 1. KrylovAction mode runs one Arnoldi
+    (G, L) stack (`BandedSparseMatrix.restrict`). DenseStored mode builds
+    each distinct block once (`dense`): it stores phi_0(dt A_i) =
+    exp(dt A_i), for callers that compose a step from it (`stored`), and
+    keeps the squaring ladder of exp(dt A_i / 2^s) with the thin blocks
+    2^(-s j) phi_j(dt A_i / 2^s), which `apply` climbs on the vectors it
+    is given. A build costs (2 + 2 (k + 1) + 2 s) n^3 flops for
+    k = order_max and s squarings, and an application of phi_k to c
+    columns 2 k (1 + s) n^2 c. KrylovAction mode runs one Arnoldi
     process per application at KRYLOV_TOL, every block one member. The
     dimension of every member is appended to `krylov_dims`, and members
     that hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
@@ -510,7 +595,8 @@ class PhiEvaluator:
     dt: float
     order_max: int
     _op: object = field(repr=False, default=None)
-    _cached: object = field(repr=False, default=None)
+    _phi0: object = field(repr=False, default=None)
+    _builds: list = field(repr=False, default_factory=list)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
 
@@ -522,10 +608,12 @@ class PhiEvaluator:
         Block i, of size `sizes[i]`, sits at rows and columns i L onwards,
         as `BandedSparseMatrix.restrict` lays it out. Blocks with equal
         size and entries share one build. The distinct blocks of each size
-        are scattered into one dense (G', n, n) stack and built by one
-        `expm_dense` call. Entry k of the stored sequence,
-        0 <= k <= order_max, is phi_k(dt A) itself when all blocks are one
-        A, else the (G, L, L) zero-padded stack of the phi_k(dt A_i).
+        are scattered into one dense (G', n, n) stack, each member scaled
+        by its own 2^-s, and one `expm_dense` call takes their Pade rows
+        [phi_0(B) ... phi_k(B)] with no squarings left; then only exp(B)
+        is squared (`_Ladder`). The stored phi_0(dt A) is one matrix when
+        all blocks are one A, else the (G, L, L) zero-padded stack of the
+        phi_0(dt A_i). Raises OverflowError if a squaring overflows.
         """
         g = len(sizes)
         width = a.n_rows // g
@@ -536,49 +624,69 @@ class PhiEvaluator:
             s = slice(bounds[i], bounds[i + 1])
             keys.append((n, row[s].tobytes(), col[s].tobytes(), a.vals[s].tobytes()))
             first.setdefault(keys[-1], s)
-        built = {}
+        builds = []
         for n in dict.fromkeys(key[0] for key in first):
-            group = [key for key in first if key[0] == n]
+            group = {key: m for m, key in enumerate(key for key in first if key[0] == n)}
             dense = np.zeros((len(group), n, n), dtype=a.dtype)
-            for m, key in enumerate(group):
+            for key, m in group.items():
                 s = first[key]
                 dense[m, row[s], col[s]] = dt * a.vals[s]
-            rows = expm_dense(dense, order_max).reshape(len(group), n, -1, n)
-            built.update(zip(group, rows.transpose(0, 2, 1, 3)))
-        if len(built) == 1:
-            cached = list(*built.values())
+            squarings = _phi_squarings(dense)
+            pw = _powers(squarings, order_max)
+            dense *= pw[:, :1, None]
+            top = expm_dense(dense, order_max).reshape(-1, n, order_max + 1, n)
+            rows = np.multiply(top[:, :, 1:].transpose(0, 2, 1, 3),
+                               pw[:, :, None, None], order="C")
+            ladder = _Ladder(top[:, :, 0], squarings)
+            if not np.isfinite(ladder.top).all():
+                raise OverflowError("PhiEvaluator.dense: overflow during squaring phase")
+            windows = [i for i, key in enumerate(keys) if key[0] == n]
+            build = [group[keys[i]] for i in windows]
+            slot = [build[:j].count(b) for j, b in enumerate(build)]
+            builds.append(_Builds(n, windows, build, slot,
+                                  rows.reshape(-1, order_max * n, n), ladder))
+        if len(first) == 1:
+            phi0 = builds[0].ladder.top[0]
         else:
-            cached = np.zeros((order_max + 1, g, width, width),
-                              dtype=np.result_type(*built.values()))
-            for i, key in enumerate(keys):
-                cached[:, i, :key[0], :key[0]] = built[key]
-        return cls(mode="DenseStored", dt=dt, order_max=order_max, _cached=cached)
+            phi0 = np.zeros((g, width, width),
+                            dtype=np.result_type(*(b.ladder.top for b in builds)))
+            for b in builds:
+                phi0[b.windows, :b.n, :b.n] = b.ladder.top[b.build]
+        return cls(mode="DenseStored", dt=dt, order_max=order_max,
+                   _phi0=phi0, _builds=builds)
 
     @classmethod
     def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
         return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
 
     def stored(self, k: int) -> np.ndarray:
-        """The stored phi_k(dt A), 0 <= k <= order_max (DenseStored only):
+        """The stored phi_0(dt A) = exp(dt A), k = 0 (DenseStored only):
         one L x L matrix when every operator is one A, else the (G, L, L)
-        zero-padded stack (shared, treat as read-only)."""
+        zero-padded stack (shared, treat as read-only). phi_k for k >= 1
+        is not stored; `apply` climbs it on the vectors it acts on."""
         if self.mode != "DenseStored":
             raise ValueError("only DenseStored mode stores phi matrices")
-        if not 0 <= k <= self.order_max:
-            raise ValueError(f"phi order {k} outside stored range 0..{self.order_max}")
-        return self._cached[k]
+        if k != 0:
+            raise ValueError(f"only phi_0 is stored, not phi_{k}; use apply")
+        return self._phi0
 
     def apply(self, k: int, vec: np.ndarray) -> np.ndarray:
         """phi_k(dt A) vec, in the shape of `vec`: one vector (of a single
         operator), or a (G, L) stack with one row per operator (DenseStored)
         or per member of a block-diagonal operator (KrylovAction), each row
-        zero-padded past its operator's size. DenseStored applies the
-        stored phi_k with `stack_product`, and also takes leading axes,
-        (..., G, L), each (G, L) slice applied alike."""
+        zero-padded past its operator's size. DenseStored also takes
+        leading axes, (..., G, L), each (G, L) slice applied alike, and
+        row i of the result depends only on A_i and row i of `vec`."""
         if not 1 <= k <= self.order_max:
             raise ValueError(f"phi order {k} outside configured range 1..{self.order_max}")
         if self.mode == "DenseStored":
-            return stack_product(self._cached[k], vec)
+            g = sum(len(b.windows) for b in self._builds)
+            x = vec.reshape(-1, g, vec.shape[-1])
+            out = np.zeros(x.shape,
+                           dtype=np.result_type(x, *(b.rows for b in self._builds)))
+            for b in self._builds:
+                out[:, b.windows, :b.n] = b.apply(k, x[:, b.windows, :b.n])
+            return out.reshape(vec.shape)
         result, m_used, converged = _phi_action_krylov(
             self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
         self.krylov_dims.extend(m_used.tolist())

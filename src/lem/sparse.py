@@ -50,14 +50,17 @@ class BandedSparseMatrix:
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite")
 
-        # coalesce duplicates, drop exact zeros, sort row-major
+        # coalesce duplicates, drop exact zeros, sort row-major; entries
+        # that come distinct and row-major, as `restrict` and `halo` give
+        # them, skip the sort and the coalescing
         if rows.size:
             key = rows * n_cols + cols
-            order = np.argsort(key, kind="stable")
-            key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
-            uniq, start = np.unique(key, return_index=True)
-            vals = np.add.reduceat(vals, start) if uniq.size else vals
-            rows, cols = rows[start], cols[start]
+            if not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")
+                key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+                _, start = np.unique(key, return_index=True)
+                vals = np.add.reduceat(vals, start)
+                rows, cols = rows[start], cols[start]
             keep = vals != 0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
@@ -71,10 +74,13 @@ class BandedSparseMatrix:
             raise ValueError(
                 f"effective bandwidth {self.bandwidth} exceeds hint {bandwidth_hint}"
             )
-        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        # the index type scipy would store, given up front so that it
+        # need not scan the indices for their range
+        index = np.int32 if max(self.n_rows, self.n_cols, rows.size) < 2**31 else np.int64
+        indptr = np.zeros(self.n_rows + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.n_rows), out=indptr[1:])
         self._csr = _sp.csr_matrix(
-            (vals, cols, indptr), shape=(self.n_rows, self.n_cols)
+            (vals, cols.astype(index), indptr), shape=(self.n_rows, self.n_cols)
         )
 
     @classmethod

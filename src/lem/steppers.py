@@ -4,11 +4,12 @@
 once on data frozen at t_n and gathers the interiors: the local states are
 one zero-padded (D, L) stack, row i on window M_i (`Partition.to_stack`),
 and one gather keeps the interiors. Dense phi is built once per
-distinct local operator, phi_0 included. With dense phi, an ExpEuler or
-ExpRB2 step is, between rebuilds, an affine map of the old state, so it
-is composed once per rebuild: a step is one sparse matvec that reads
-every window and its exterior couplings, and one product with the
-composed propagators P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i]
+distinct local operator: phi_0 is stored, and phi_k climbs the squaring
+ladder that built phi_0 on the vectors it is applied to. With dense phi, an
+ExpEuler or ExpRB2 step is, between rebuilds, an affine map of the old
+state, so it is composed once per rebuild: a step is one sparse matvec
+that reads every window and its exterior couplings, and one product with
+the composed propagators P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i]
 (one gemm when every window shares P_i, else one batched product; at D=1
 the one-row stack times phi_0), plus the ExpRB2 shift. ExpRB3 on
 nonlinear systems and Krylov phi step the residual instead: sparse
@@ -135,10 +136,11 @@ class _StackedStep:
     P_i = [phi_0(dt A_i) | dt phi_1(dt A_i) E_i], zero-padded like the
     stack: one (L, L + e) matrix when every window shares its phi and its
     edge rows, applied as one gemm, else a (D, L, L + e) stack applied as
-    one batched product. The edge columns and c_i come from
-    `PhiEvaluator.apply` at the rebuild, so a step costs one sparse matvec
-    and one product. At D=1 there is no exterior: P is phi_0 itself and
-    the stack is the one row u.
+    one batched product. The edge columns and c_i come from one
+    `PhiEvaluator.apply` of phi_1 at the rebuild, after which the step
+    drops `phi_eval` and its squaring ladder, so a step costs one sparse
+    matvec and one product. At D=1 there is no exterior: P is phi_0 itself
+    and the stack is the one row u.
 
     Residual (ExpRB3 on a nonlinear system, whose correction stage needs
     the nonlinear remainder, and KrylovAction, which stores no phi):
@@ -182,12 +184,15 @@ class _StackedStep:
 
     def _compose(self, halo: BandedSparseMatrix,
                  g_shift: Optional[np.ndarray]) -> None:
-        """Set `gather`, `prop` and `shift` of the composed step."""
+        """Set `gather`, `prop` and `shift` of the composed step, then drop
+        `phi_eval`, whose squaring ladder the step no longer reads."""
         part, dt, phi = self.part, self.dt, self.phi_eval
-        self.shift = (None if g_shift is None
-                      else dt * phi.apply(1, part.to_stack(g_shift)))
-        self.prop, self.gather = phi.stored(0), None
+        self.prop, self.gather, self.shift = phi.stored(0), None, None
+        self.phi_eval = None
+        g = None if g_shift is None else part.to_stack(g_shift)
         if part.D == 1:  # the window is the whole mesh, with no exterior
+            if g is not None:
+                self.shift = dt * phi.apply(1, g)
             return
         d, width = part.D, part.width
         # the edge rows (window rows with exterior couplings), and the rank
@@ -209,13 +214,17 @@ class _StackedStep:
             np.concatenate((part.nodes.reshape(-1), halo.cols)),
             np.concatenate((ones, halo.vals)))
 
-        # slot j of window i is the unit vector at its j-th edge row
+        # slot j of window i is the unit vector at its j-th edge row; one
+        # phi_1 application serves them and the shift's row
         units = np.zeros((e, d, width))
         i, j = np.nonzero(edge)
         units[rank[i, j], i, j] = 1.0
+        cols = dt * phi.apply(1, units if g is None else np.concatenate((g[None], units)))
+        if g is not None:
+            self.shift, cols = cols[0], cols[1:]
         if self.prop.ndim == 2 and np.all(edge == edge[0]):
-            units = units[:, 0]  # one P for every window
-        edge_cols = dt * np.moveaxis(phi.apply(1, units), 0, -1)
+            cols = cols[:, 0]  # one P for every window
+        edge_cols = np.moveaxis(cols, 0, -1)
         self.prop = np.concatenate(
             (np.broadcast_to(self.prop, edge_cols.shape[:-1] + (width,)),
              edge_cols), axis=-1)
@@ -348,7 +357,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
         nonlocal misses
         if classical:
             stalls.extend(step.stalls)
-        else:
+        elif step.phi_eval is not None:  # a composed step drops its phi
             dims.extend(step.phi_eval.krylov_dims)
             misses += step.phi_eval.krylov_misses
 
@@ -358,6 +367,7 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
         t_n = s * cfg.dt
         if s and refresh is not None and s % refresh == 0:
             harvest()
+            step = None  # frees the old step's phi before the next is built
             step = make_step(system, part, u, t_n, cfg)
         u = gather_overwrite(part, step.advance(u, t_n))
         if trajectory is not None:

@@ -160,6 +160,18 @@ class TestParseConfig:
          "malformed subdomain list", 3),
         # a space is no separator: "1 2" is not read as 12
         ("[advdiff1d]\nD = 1 2\nrows = C=1 B=8\n", "malformed subdomain list", 2),
+        # nor is a digit-group underscore, or a non-ASCII digit, in any
+        # number the parser reads
+        ("[advdiff1d]\nD = 1_2\nrows = C=1 B=8\n", "malformed subdomain list", 2),
+        ("[advdiff1d]\nnu = 0_1\nrows = C=1 B=8\n", "malformed number", 2),
+        ("[advdiff1d]\nn = 1_00\nrows = C=1 B=8\n", "malformed number", 2),
+        ("[advdiff1d]\nrows = mu=1_0 B=8\n", "rows entry 1: malformed number", 2),
+        ("[advdiff1d]\nrows = C=1 B=1_6\n", "rows entry 1: malformed number", 2),
+        ("[advdiff1d]\nT = 1_0\nrows = C=1 B=8\n", "malformed number", 2),
+        ("[advdiff1d]\nT = \u0663\nrows = C=1 B=8\n", "malformed number", 2),
+        ("[advdiff1d]\nrows = C=1 B=8\nrefresh = 1_0\n", "malformed refresh", 3),
+        ("[burgers1d]\nrows = dt=0.01 B=4\nreference_tol = 1e-1_0\n",
+         "malformed number", 3),
         ("[advdiff1d]\nrows = C=1 B=2 C=4\n", "rows entry 1: duplicate key C", 2),
         ("[advdiff1d]\nrows = C=1 B=2; dt=0.1 B=4 B=4\n",
          "rows entry 2: duplicate key B", 2),

@@ -484,7 +484,7 @@ class TestDistinctBuilds:
         assert all(len(shape) == 3 for shape in calls)
         assert sum(shape[0] for shape in calls) == len(distinct)
         shared = len(distinct) == 1
-        assert all(phi.ndim == (2 if shared else 3) for phi in ev._cached)
+        assert ev.stored(0).ndim == (2 if shared else 3)
 
         rng = np.random.default_rng(seed)
         width = max(a.n_rows for a in ops)
@@ -506,16 +506,83 @@ class TestDistinctBuilds:
     def test_single_operator_keeps_views_of_its_build(self):
         a = BandedSparseMatrix.from_dense(OPERATOR_POOL[3])
         ev = PhiEvaluator.dense(a, [7], 0.5, 3)
-        phis = ev._cached
-        assert len(phis) == 4 and all(p.shape == (7, 7) for p in phis)
-        assert all(p.base is phis[0].base for p in phis)  # one build result
-        assert all(ev.stored(k) is phis[k] for k in range(4))
         want = phi_dense_all(0.5 * a.to_dense(), 3)
-        assert all(np.array_equal(p, w) for p, w in zip(phis, want))
-        with pytest.raises(ValueError):
-            ev.stored(4)
+        phi_0 = ev.stored(0)
+        assert phi_0.shape == (7, 7) and phi_0.base is not None  # not copied
+        assert np.array_equal(phi_0, want[0])
+        # phi_k climbs on the rows it is given: a vector and the one-row
+        # stack of it take the same products
+        x = np.random.default_rng(5).standard_normal(7)
+        for k in range(1, 4):
+            got = ev.apply(k, x)
+            assert np.array_equal(got, ev.apply(k, x[None])[0])
+            scale = np.abs(want[k]).sum(axis=1).max() * np.abs(x).max()
+            assert np.abs(got - want[k] @ x).max() <= 1e-14 * scale
+        for k in (1, 4):
+            with pytest.raises(ValueError):
+                ev.stored(k)
         with pytest.raises(ValueError):
             PhiEvaluator.krylov(a, 0.5, 3).stored(0)
+
+
+@st.composite
+def ladder_stacks(draw):
+    """A random banded (G, n, n) stack whose members take 0 to 8 squarings
+    at dt = 0.5, real or complex, with a stable spectrum so that nothing
+    overflows; the last member may repeat the first."""
+    g = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 14))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for s in draw(st.lists(st.integers(0, 8), min_size=g, max_size=g)):
+        m = random_banded(n, draw(st.integers(0, min(3, n - 1))), rng)
+        if complex_:
+            m = m + 1j * random_banded(n, min(1, n - 1), rng)
+        m /= max(np.abs(m).sum(axis=0).max(), 1e-300)
+        m -= np.eye(n)  # the spectral abscissa is at most 0
+        # 0.5 ||A||_1 = theta_13 2^(s - 1/2): exactly s squarings
+        target = _THETA13 * 2.0 ** (s - 0.5) if s else draw(st.floats(0.0, 1.0))
+        norm = np.abs(m).sum(axis=0).max()
+        stack.append(m * (2 * target / norm) if norm else m)
+    if g > 1 and draw(st.booleans()):
+        stack[-1] = stack[0]
+    return np.array(stack)
+
+
+class TestPhiLadder:
+    """PhiEvaluator.apply climbs phi_k on its vectors up each member's own
+    squaring ladder."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=ladder_stacks(), k=st.integers(1, 3),
+           lead=st.sampled_from([(), (3,), (2, 2)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_apply_matches_phi_row_and_own_evaluator(self, stack, k, lead, seed):
+        g, n, _ = stack.shape
+        dt = 0.5
+        ev = PhiEvaluator.dense(block_diagonal(list(stack)), [n] * g, dt, k)
+        squarings = lem.expm._phi_squarings(dt * stack)
+        assert squarings.max() <= 8
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (g, n))
+        if np.iscomplexobj(stack):
+            x = x + 1j * rng.standard_normal(x.shape)
+        for j in range(1, k + 1):
+            got = ev.apply(j, x)
+            assert got.shape == x.shape
+            for i, a in enumerate(stack):
+                phi = phi_dense_all(dt * a, k)[j]
+                want = x[..., i, :] @ phi.T
+                scale = np.abs(phi).sum(axis=1).max() * np.abs(x[..., i, :]).max()
+                assert np.abs(got[..., i, :] - want).max() <= 1e-14 * scale
+                own = PhiEvaluator.dense(BandedSparseMatrix.from_dense(a), [n], dt, k)
+                assert np.array_equal(got[..., i:i + 1, :],
+                                      own.apply(j, x[..., i:i + 1, :]))
+                if j == 1:
+                    phi_0 = ev.stored(0)
+                    assert np.array_equal(phi_0 if phi_0.ndim == 2 else phi_0[i],
+                                          own.stored(0))
 
 
 def random_hessenberg(m, rng, scale, complex_):

@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import lem.bench
 from lem.bench import parse_config, run_sweep
+from lem.models import build_burgers_1d, build_porous_1d
+from lem.partition import make_partition
+from lem.steppers import StepperConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -141,3 +145,31 @@ def test_d_above_one_cells_call_gated_entry_points(tmp_path, name):
     # one extraction of each kind per rebuild, whatever D
     assert cell_calls(tracer, "BandedSparseMatrix.restrict") == rebuilds
     assert cell_calls(tracer, "BandedSparseMatrix.halo") == rebuilds
+
+
+# Dense phi cells of the kinds the `dense-nonlinear` and `linear-stepping`
+# gates trace, run straight through `run_lem` (no oracle): (model, method,
+# D). Ten steps with a refresh every five make two rebuilds.
+DENSE_CELLS = [("burgers", "ExpRB3", 1), ("burgers", "ExpRB3", 2),
+               ("porous", "ExpRB2", 2)]
+
+
+@pytest.mark.parametrize("kind,method,d", DENSE_CELLS)
+def test_dense_rebuilds_build_once_per_window_size_and_apply(kind, method, d):
+    spans = load_spans()
+    system = (build_burgers_1d(64, 10.0, 0.05, sigma=0.5) if kind == "burgers"
+              else build_porous_1d(64, 10.0))
+    part = make_partition(system.mesh, d, 8 if d > 1 else 0)
+    cfg = StepperConfig(method=method, dt=0.01, t_end=0.1,
+                        jacobian_refresh_every=5)
+    with spans.instrumented(spans.Tracer()) as tracer:
+        report = lem.bench.run_lem(system, part, cfg)
+    assert report.D == d and report.warnings == []
+    rebuilds, sizes = 2, len(set(part.sizes.tolist()))
+    assert cell_calls(tracer, "PhiEvaluator.dense") == rebuilds
+    assert cell_calls(tracer, "expm_dense") == rebuilds * sizes
+    # every rebuild's evaluator is applied before the next rebuild
+    names = [tracer.names[i].split("/")[0] for i in tracer.span_name]
+    builds = [i for i, name in enumerate(names) if name == "PhiEvaluator.dense"]
+    for start, end in zip(builds, builds[1:] + [len(names)]):
+        assert "PhiEvaluator.apply" in names[start:end]

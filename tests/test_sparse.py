@@ -254,3 +254,30 @@ class TestScalars:
         a = centered_difference(3)
         with pytest.raises(ValueError):
             a.vals[0] = 99.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 12),
+           density=st.floats(0.0, 1.0), complex_=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_major_input_skips_the_sort_alike(self, n_rows, n_cols, density,
+                                                 complex_, seed):
+        # distinct row-major entries (some zero) take the constructor's
+        # short path; a shuffled copy with a split duplicate takes the sort
+        # and the coalescing, and both store the same arrays bitwise
+        rng = np.random.default_rng(seed)
+        key = np.flatnonzero(rng.random(n_rows * n_cols) < density)
+        rows, cols = key // n_cols, key % n_cols
+        vals = rng.standard_normal(key.size) * (rng.random(key.size) < 0.8)
+        if complex_:
+            vals = vals + 1j * rng.standard_normal(key.size)
+        a = BandedSparseMatrix(n_rows, n_cols, rows, cols, vals)
+        perm = rng.permutation(key.size)
+        b = BandedSparseMatrix(n_rows, n_cols, np.append(rows[perm], rows[:1]),
+                               np.append(cols[perm], cols[:1]),
+                               np.append(vals[perm], 0.0 * vals[:1]))
+        for x, y in zip((a.rows, a.cols, a.vals), (b.rows, b.cols, b.vals)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert np.array_equal(a.to_dense(), b.to_dense())
+        # the stored arrays are copies: the inputs stay the caller's
+        rows[:] = 0
+        assert np.array_equal(a.rows, b.rows)

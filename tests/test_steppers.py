@@ -552,39 +552,48 @@ class TestStackedStep:
         assert sorted(log) == ref_log
 
         step = _StackedStep(system, part, system.initial, 0.0, cfg)
-        phi = step.phi_eval
         if cfg.phi_mode == "KrylovAction":
             # one Arnoldi member per subdomain, one logged dimension per
             # member and application
+            phi = step.phi_eval
             log.clear()
             with patch:
                 phi.apply(1, part.to_stack(np.ones(system.n)))
             assert len(log) == len(phi.krylov_dims) == part.D
             return
 
-        # subdomain i's phi_k, phi_0 included, is its own build bitwise: the
-        # one L x L phi_k when every window restricts to the same matrix,
-        # else member i of a (D, L, L) stack, in its leading block with
-        # zeros around it
+        # subdomain i's phi_0 is its own build bitwise: the one L x L
+        # phi_0 when every window restricts to the same matrix, else
+        # member i of a (D, L, L) stack, in its leading block with zeros
+        # around it. Each phi_k application to its own row is its own
+        # evaluator's bitwise, with zeros at the pads.
         jac = (system.linear_matrix if system.is_linear
-               else system.jacobian(system.initial)).to_dense()
-        locs = [jac[np.ix_(m_i, m_i)] for m_i, _ in _ref_windows(system, part)]
+               else system.jacobian(system.initial))
+        order_max = 3 if step.prop is None else 1  # the residual ExpRB3 step
+        phi = PhiEvaluator.dense(jac.restrict(part.nodes, part.pads),
+                                 part.sizes, cfg.dt, order_max)
+        locs = [jac.to_dense()[np.ix_(m_i, m_i)]
+                for m_i, _ in _ref_windows(system, part)]
         shared = all(a.shape == locs[0].shape and np.array_equal(a, locs[0])
                      for a in locs)
-        assert len(phi._cached) == phi.order_max + 1
+        phi_0 = phi.stored(0)
+        x = part.to_stack(np.random.default_rng(0).standard_normal(system.n))
+        applied = {k: phi.apply(k, x) for k in range(1, order_max + 1)}
         for i, a in enumerate(locs):
             n_i = len(a)
             own = PhiEvaluator.dense(BandedSparseMatrix.from_dense(a), [n_i],
-                                     cfg.dt, phi.order_max)
-            for k in range(phi.order_max + 1):
-                phi_k, own_k = phi.stored(k), own.stored(k)
-                assert own_k.shape == (n_i, n_i)
-                if shared:
-                    assert np.array_equal(phi_k, own_k)
-                    continue
-                assert phi_k.shape == (part.D, part.width, part.width)
-                assert np.array_equal(phi_k[i, :n_i, :n_i], own_k)
-                assert not np.any(phi_k[i, n_i:]) and not np.any(phi_k[i, :, n_i:])
+                                     cfg.dt, order_max)
+            own_0 = own.stored(0)
+            assert own_0.shape == (n_i, n_i)
+            if shared:
+                assert np.array_equal(phi_0, own_0)
+            else:
+                assert phi_0.shape == (part.D, part.width, part.width)
+                assert np.array_equal(phi_0[i, :n_i, :n_i], own_0)
+                assert not np.any(phi_0[i, n_i:]) and not np.any(phi_0[i, :, n_i:])
+            for k, got in applied.items():
+                assert np.array_equal(got[i, :n_i], own.apply(k, x[i, :n_i]))
+                assert not np.any(got[i, n_i:])
 
     @settings(max_examples=30, deadline=None)
     @given(stepping_cases())
@@ -613,12 +622,18 @@ class TestStackedStep:
         # criterion 11 counts the nodes of the local problems, not the
         # slots of the stack they are stepped on
         assert part.dof_updates_per_step == 100 and part.nodes.size == 4 * 28
-        assert step.phi_eval._cached.shape == (2, 4, 28, 28)
-        for k in (0, 1):
-            stack = step.phi_eval.stored(k)
-            for i in (0, 3):
-                assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
-                assert np.all(np.diag(stack[i])[:22] > 0)
+        # the composed step keeps P_i and drops the evaluator it came from
+        assert step.phi_eval is None
+        phi = PhiEvaluator.dense(
+            system.jacobian(system.initial).restrict(part.nodes, part.pads),
+            part.sizes, 0.01, 1)
+        stack = phi.stored(0)
+        assert stack.shape == (4, 28, 28)
+        climbed = phi.apply(1, part.to_stack(np.ones(64)))
+        for i in (0, 3):
+            assert not np.any(stack[i, 22:]) and not np.any(stack[i, :, 22:])
+            assert np.all(np.diag(stack[i])[:22] > 0)
+            assert not np.any(climbed[i, 22:]) and np.all(climbed[i, :22] > 0)
         # two edge rows per interior window, one per clipped end window;
         # the ExpRB2 shift lives on the stack too, zero at the pads
         assert step.prop.shape == (4, 28, 30)
@@ -650,7 +665,7 @@ class TestStackedStep:
             step = _StackedStep(system, part, system.initial, 0.0, cfg)
         # one stacked call, of one member
         assert calls == [(1, 28, 28)]
-        assert [phi.shape for phi in step.phi_eval._cached] == [(28, 28)] * 2
+        assert step.phi_eval is None  # the composed step dropped it
         assert step.prop.shape == (28, 30)  # one P_i, two edge rows
         u_ref = reference_run_lem(system, part, cfg)
         rep = run_lem(system, part, cfg)
