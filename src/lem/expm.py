@@ -50,7 +50,14 @@ The local exponential method needs three flavors of exponential machinery:
   per step, stacked inner products, norms and Hessenberg matrices, and one
   stacked exponential for all members at a checkpoint. A single vector is
   the stack of one. `PhiEvaluator.krylov` serves the zero-padded stack of
-  a local step's subdomains that way.
+  a local step's subdomains that way, and warm-starts each member at the
+  dimension its last application used, as KIOPS reuses the last m: the
+  first test is at that checkpoint; on a pass the checkpoints below are
+  tested downwards on the kept H, one exponential each, until one fails,
+  and the member keeps the lowest that passed; on a fail it goes on
+  forward. While the stopping estimate is monotone in m this picks the
+  dimension, and the result bitwise, of testing every checkpoint, with
+  about two exponentials per member instead of m / KRYLOV_CHECK_EVERY.
 
 `iserles_bound` and `verify_decay` implement the rigorous super-exponential
 bound on the off-diagonal entries of exp(B) for banded B: with d = |i - j|,
@@ -417,7 +424,8 @@ def phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
 
 
 def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
-                       tol: float = KRYLOV_TOL, m_max: int = KRYLOV_M_MAX):
+                       tol: float = KRYLOV_TOL, m_max: int = KRYLOV_M_MAX,
+                       hint=None):
     """phi_action_krylov worker: (result, Krylov dimension used, converged).
 
     `v` is one vector, or a (G, L) stack of G members for a block-diagonal
@@ -432,6 +440,19 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
     out of the stack, which is copied once then, so every step runs on
     whole arrays. The per-member breakdown caps are taken from H only at
     steps where some hnext is small enough for a breakdown to be possible.
+
+    `hint` warm-starts the checkpoints, as KIOPS (Gaudreault, Rainwater &
+    Tokman, JCP 2018) reuses the last dimension: per member (one int for
+    one vector), the dimension it used last time, 0 for none. A hinted
+    member is first tested at its hint rounded up to a checkpoint (capped
+    at m_max); happy breakdown is still tested at every step. If that
+    first test passes, the checkpoints below are tested downwards, one
+    exponential each on the kept H, and the member stops at the lowest
+    one that passes before one fails (`_look_back`). If it fails, the
+    member goes on as without a hint, and a miss at m_max first tests the
+    checkpoints it skipped. While the stopping estimate is monotone in m
+    this is the dimension, and bitwise the result, of the unhinted run;
+    in any case the dimension is no smaller and `converged` the same.
 
     For a stack, the dimensions and flags are (G,) arrays in member order.
     It never warns; hitting m_max without meeting the tolerance returns
@@ -449,6 +470,10 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
     result = np.zeros((g_all, size), dtype=dtype)
     m_used = np.zeros(g_all, dtype=np.int64)
     converged = np.ones(g_all, dtype=bool)
+    every = KRYLOV_CHECK_EVERY
+    # per slot, the first checkpoint tested: the hint rounded up to one
+    first = np.minimum(-(-np.broadcast_to(0 if hint is None else hint, (g_all,))
+                         // every) * every, m_max)
     # every |entry| of H_m is at most ||dt A||_2 <= |dt| ||A||_F, up to
     # rounding, so no member can break down while its hnext exceeds this
     suspect = 1e-14 * max(1.0, 2.0 * abs(dt) * op_norm)
@@ -466,6 +491,7 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
             if not keep.any():
                 break
             ids, vv, h, beta = ids[keep], vv[keep], h[keep], beta[keep]
+            first = first[keep]
             keep = None
             if spread is None:
                 spread = np.zeros((g_all, size), dtype=dtype)
@@ -497,33 +523,90 @@ def _phi_action_krylov(a, dt: float, v: np.ndarray, k: int,
                 broke = None
         np.divide(w, (hnext if broke is None else np.where(broke, 1.0, hnext))[:, None],
                   out=vv[:, m])
-        checkpoint = m % KRYLOV_CHECK_EVERY == 0 or m == m_max
+        checkpoint = m % every == 0 or m == m_max
         if not checkpoint and broke is None:
             continue
-        test = slice(None) if checkpoint else broke  # the members tested now
-        y = phi_hessenberg_e1(h[test, :m, :m], k)
-        ok = beta[test] * hnext[test] * np.abs(y[:, m - 1]) <= tol * beta[test]
+        # the members tested now: those that broke down, and at a
+        # checkpoint those that do not skip it (at m_max, every member)
+        test = (first <= m) & checkpoint
+        if broke is not None:
+            test |= broke
+        if not test.any():
+            continue
+        y, ok = _stop_test(h, beta, test, m, k, tol)
         if broke is not None:
             ok |= broke[test]
         stop = ok if m < m_max else np.ones_like(ok)
-        count = np.count_nonzero(stop)
-        if not count:
+        sel = np.flatnonzero(test)[stop]
+        if not sel.size:
             continue
-        if count == ids.size:  # every member stops: all tested, all stop
-            sel = slice(None)
-        else:
-            sel = np.flatnonzero(stop) if checkpoint else np.flatnonzero(broke)[stop]
-            y, ok = y[stop], ok[stop]
-        result[ids[sel]] = beta[sel, None] * (y[:, None, :] @ vv[sel, :m])[:, 0]
-        m_used[ids[sel]] = m
-        converged[ids[sel]] = ok
-        if count == ids.size:
+        for s, y_s, m_s, ok_s in _look_back(h, beta, sel, y[stop], ok[stop], m,
+                                            first[sel], k, tol):
+            # y_s contiguous for every member: OpenBLAS rounds a strided y
+            # differently at m = 2, 3 mod 4, and the result of a member
+            # would then depend on whether the others had stopped
+            y_s = np.ascontiguousarray(y_s)[:, None, :]
+            result[ids[s]] = beta[s, None] * (y_s @ vv[s, :m_s])[:, 0]
+            m_used[ids[s]] = m_s
+            converged[ids[s]] = ok_s
+        if sel.size == ids.size:
             break
         keep = np.ones(ids.size, dtype=bool)
         keep[sel] = False
     if v.ndim == 1:
         return result[0], int(m_used[0]), bool(converged[0])
     return result, m_used, converged
+
+
+def _look_back(h, beta, slots, y, ok, m, first, k, tol):
+    """The dimensions at which the members that stop at step m keep their
+    result, as (slots, phi_k(H) e_1, dimension, converged) groups.
+
+    `slots` index the stack of H and beta, `y` and `ok` are their test at
+    step m, and `first` their first checkpoint. A member keeps step m
+    unless a hint made it skip the checkpoint below m. Then, if it passed,
+    it tests the checkpoints below m downwards and keeps the lowest that
+    passes before one fails; if it missed at m_max, it tests the ones it
+    skipped upwards and keeps the first that passes, as the unhinted run
+    would. Each test is one stacked exponential of the kept H for all
+    members at that checkpoint.
+    """
+    every = KRYLOV_CHECK_EVERY
+    below = (m - 1) // every * every  # the checkpoint before m, or 0
+    back = ok & (first > below)
+    rest = ok & ~back
+    groups = [(slots[rest], y[rest], m, True)]
+
+    s, y_s, m_s = slots[back], y[back], m
+    for c in range(below, 0, -every):
+        if not s.size:
+            break
+        y_c, passed = _stop_test(h, beta, s, c, k, tol)
+        groups.append((s[~passed], y_s[~passed], m_s, True))
+        s, y_s, m_s = s[passed], y_c[passed], c
+    groups.append((s, y_s, m_s, True))
+
+    s, y_s, first = slots[~ok], y[~ok], first[~ok]
+    for c in range(every, int(first.max(initial=0)), every):
+        due = np.flatnonzero(first > c)
+        if not due.size:
+            break
+        y_c, passed = _stop_test(h, beta, s[due], c, k, tol)
+        groups.append((s[due[passed]], y_c[passed], c, True))
+        left = np.ones(s.size, dtype=bool)
+        left[due[passed]] = False
+        s, y_s, first = s[left], y_s[left], first[left]
+    groups.append((s, y_s, m, False))
+    return [grp for grp in groups if grp[0].size]
+
+
+def _stop_test(h, beta, slots, m, k, tol):
+    """phi_k(H_m) e_1 of the members in `slots` of the stack, and whether
+    each meets the stopping estimate
+    |beta h_{m+1,m} (phi_k(H_m) e_1)_m| <= tol beta at step m."""
+    y = phi_hessenberg_e1(h[slots, :m, :m], k)
+    hnext = h[slots, m, m - 1].real
+    return y, beta[slots] * hnext * np.abs(y[:, m - 1]) <= tol * beta[slots]
 
 
 def _norms(w: np.ndarray) -> np.ndarray:
@@ -589,6 +672,11 @@ class PhiEvaluator:
     process per application at KRYLOV_TOL, every block one member. The
     dimension of every member is appended to `krylov_dims`, and members
     that hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
+    `krylov_last` maps (k, G) to the members' dimensions in the last
+    application of phi_k to a stack of G rows, and the next such
+    application warm-starts each member's checkpoints there
+    (`_phi_action_krylov`, after KIOPS); a caller that rebuilds the
+    operator with the same blocks may hand the dict on.
     """
 
     mode: str
@@ -599,6 +687,7 @@ class PhiEvaluator:
     _builds: list = field(repr=False, default_factory=list)
     krylov_dims: list = field(repr=False, default_factory=list)
     krylov_misses: int = 0
+    krylov_last: dict = field(repr=False, default_factory=dict)
 
     @classmethod
     def dense(cls, a: BandedSparseMatrix, sizes, dt: float,
@@ -656,8 +745,12 @@ class PhiEvaluator:
                    _phi0=phi0, _builds=builds)
 
     @classmethod
-    def krylov(cls, a, dt: float, order_max: int) -> "PhiEvaluator":
-        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a)
+    def krylov(cls, a, dt: float, order_max: int,
+               last: dict | None = None) -> "PhiEvaluator":
+        """KrylovAction evaluator of `a`; `last` is a `krylov_last` to
+        warm-start from, shared and updated in place."""
+        return cls(mode="KrylovAction", dt=dt, order_max=order_max, _op=a,
+                   krylov_last={} if last is None else last)
 
     def stored(self, k: int) -> np.ndarray:
         """The stored phi_0(dt A) = exp(dt A), k = 0 (DenseStored only):
@@ -687,8 +780,11 @@ class PhiEvaluator:
             for b in self._builds:
                 out[:, b.windows, :b.n] = b.apply(k, x[:, b.windows, :b.n])
             return out.reshape(vec.shape)
+        x = vec.reshape(-1, vec.shape[-1])
+        key = (k, len(x))
         result, m_used, converged = _phi_action_krylov(
-            self._op, self.dt, vec.reshape(-1, vec.shape[-1]), k)
+            self._op, self.dt, x, k, hint=self.krylov_last.get(key))
+        self.krylov_last[key] = m_used
         self.krylov_dims.extend(m_used.tolist())
         self.krylov_misses += int(np.count_nonzero(~converged))
         return result.reshape(vec.shape)

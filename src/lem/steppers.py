@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -148,14 +149,16 @@ class _StackedStep:
     each phi_k application is one call on the stack. ExpRB3 reads neither
     `halo` nor the affine shift g, so it builds neither. DenseStored
     `phi_eval` builds phi once per distinct block of `a_sum`, KrylovAction
-    runs every subdomain as one member of one Arnoldi process on `a_sum`.
+    runs every subdomain as one member of one Arnoldi process on `a_sum`,
+    warm-started from the dimensions in `krylov_last`, which it updates.
     """
 
     __slots__ = ("system", "part", "dt", "stage3", "phi_eval", "gather",
                  "prop", "shift", "a_sum", "halo", "g_shift")
 
     def __init__(self, system: SemiDiscreteSystem, part: Partition,
-                 u: np.ndarray, t_n: float, cfg: StepperConfig):
+                 u: np.ndarray, t_n: float, cfg: StepperConfig,
+                 krylov_last: Optional[dict] = None):
         # ExpRB3 is ExpEuler on linear systems: its phi_3 stage runs, and
         # phi_3 is built, only on nonlinear ones
         self.stage3 = cfg.method == "ExpRB3" and not system.is_linear
@@ -177,7 +180,8 @@ class _StackedStep:
                 self._compose(halo, g_shift)
                 return
         else:
-            self.phi_eval = PhiEvaluator.krylov(a_sum, cfg.dt, order_max)
+            self.phi_eval = PhiEvaluator.krylov(a_sum, cfg.dt, order_max,
+                                                last=krylov_last)
         self.a_sum, self.halo = a_sum, halo
         self.g_shift = (None if g_shift is None
                         else part.to_stack(g_shift).reshape(-1))
@@ -333,6 +337,8 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
     Crank-Nicolson (`_ClassicalStep`) need the one-subdomain partition.
     The step is rebuilt every refresh interval (for linear systems: built
     once, first step), and its Krylov misses or Newton stalls harvested.
+    Krylov steps share one `PhiEvaluator.krylov_last` across rebuilds, so
+    each subdomain's checkpoints start at its last dimension.
     """
     if part.n_total != system.n:
         raise ValueError("partition size does not match the system")
@@ -346,7 +352,10 @@ def run_lem(system: SemiDiscreteSystem, part: Partition,
 
     steps = cfg.n_steps
     refresh = cfg.refresh_interval(system)
-    make_step = _ClassicalStep if classical else _StackedStep
+    # one `krylov_last` for every rebuild: the subdomains, and so the
+    # Krylov members, are the same in each
+    make_step = (_ClassicalStep if classical
+                 else partial(_StackedStep, krylov_last={}))
     u = np.array(system.initial, copy=True)
     trajectory = [u.copy()] if cfg.record_trajectory else None
     dims: List[int] = []

@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -299,6 +300,52 @@ class TestParseConfigProperty:
 
     def test_template_is_valid(self, tmp_path):
         assert len(parse_config(write(tmp_path, VALID))) == 2
+
+
+_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+_SHIPPED = {}
+for _name in sorted(os.listdir(_CONFIGS)):
+    if _name.endswith(".ini"):
+        with open(os.path.join(_CONFIGS, _name), encoding="utf-8") as _fh:
+            _SHIPPED[_name] = _fh.read()
+
+# the tokens of an INI text: words, the separators = , ; and whitespace
+_TOKEN = re.compile(r"[^\s=,;]+|[=,;]|\s+")
+# every token of the shipped configs, and some no config holds
+_TOKEN_POOL = sorted({t for text in _SHIPPED.values() for t in _TOKEN.findall(text)}
+                     | {"", "0", "-1", "1_0", "nan", "inf", "1e400", "%", ":",
+                        "[x]", "é", "#", "\n"})
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one to three tokens deleted, replaced, or
+    preceded by a token of the pool."""
+    name = draw(st.sampled_from(sorted(_SHIPPED)))
+    tokens = _TOKEN.findall(_SHIPPED[name])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        new = draw(st.sampled_from(_TOKEN_POOL))
+        tokens[i] = draw(st.sampled_from(("", new, new + " " + tokens[i])))
+    return name, "".join(tokens)
+
+
+class TestConfigMutation:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_configs())
+    def test_parses_and_builds_or_names_its_line(self, case):
+        name, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                cases = parse_config(path)
+            except ConfigError as exc:
+                assert re.match(re.escape(path) + r":[0-9]+: ", str(exc)), str(exc)
+                return
+        for c in cases:
+            c.build()
 
 
 class TestRowDt:

@@ -608,8 +608,9 @@ class TestKrylovKernel:
     @given(n=st.integers(4, 80), r_frac=st.floats(0.05, 1.0),
            m_max=st.integers(1, 60), k=st.integers(1, 3),
            tol=st.sampled_from([1e-4, 1e-8, 1e-10, 1e-13]),
-           dt=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
-    def test_dimension_is_a_checkpoint(self, n, r_frac, m_max, k, tol, dt, seed):
+           dt=st.floats(0.01, 2.0), hint=st.integers(0, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dimension_is_a_checkpoint(self, n, r_frac, m_max, k, tol, dt, hint, seed):
         # v lives on an invariant block of size r: breakdown comes at step r
         rng = np.random.default_rng(seed)
         r = max(1, int(r_frac * n))
@@ -617,11 +618,14 @@ class TestKrylovKernel:
         dense[:r, :r] = rng.standard_normal((r, r)) / math.sqrt(r)
         v = np.zeros(n)
         v[:r] = rng.standard_normal(r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, m_used, _ = _phi_action_krylov(dense, dt, v, k, tol=tol, m_max=m_max)
-        assert 1 <= m_used <= min(r, m_max)
-        assert m_used % KRYLOV_CHECK_EVERY == 0 or m_used in (r, m_max)
+        # unhinted, then warm-started anywhere in 0 .. m_max
+        for h in (None, min(hint, m_max)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, m_used, _ = _phi_action_krylov(dense, dt, v, k, tol=tol,
+                                                  m_max=m_max, hint=h)
+            assert 1 <= m_used <= min(r, m_max)
+            assert m_used % KRYLOV_CHECK_EVERY == 0 or m_used in (r, m_max)
 
 
 # member scales: zero, below theta_13 (no squaring), and three different
@@ -709,6 +713,83 @@ class TestStackedExponential:
             assert np.array_equal(member, expm_dense(a, k))
 
 
+@st.composite
+def krylov_stacks(draw):
+    """A block-diagonal operator on a zero-padded (G, L) stack and its
+    vectors: ordinary members, zero vectors and happy breakdowns (v on an
+    invariant block), real or complex, at norms from quick convergence to
+    misses at a small m_max."""
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, vecs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(2, 30))
+        dense = random_banded(size, 2, rng, scale=draw(st.sampled_from((0.1, 1.0, 8.0))))
+        v = rng.standard_normal(size)
+        if complex_:
+            dense = dense + 1j * random_banded(size, 1, rng, scale=0.3)
+            v = v + 1j * rng.standard_normal(size)
+        kind = draw(st.sampled_from(("ordinary", "zero", "breakdown")))
+        if kind == "zero":
+            v[:] = 0.0
+        elif kind == "breakdown":
+            r = draw(st.integers(1, size - 1))
+            dense[:r, r:] = dense[r:, :r] = 0.0
+            v[r:] = 0.0
+        blocks.append(dense)
+        vecs.append(v)
+    stack = np.zeros((len(vecs), max(map(len, vecs))), dtype=vecs[0].dtype)
+    for i, v in enumerate(vecs):
+        stack[i, :len(v)] = v
+    return block_diagonal(blocks), stack
+
+
+class TestWarmStart:
+    """Hinted checkpoints against the unhinted schedule on the same stack."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=krylov_stacks(), m_max=st.integers(1, 40), k=st.integers(1, 3),
+           tol=st.sampled_from([1e-6, 1e-10, 1e-13]), dt=st.floats(0.05, 1.0),
+           data=st.data())
+    def test_hint_never_lowers_dimension_or_changes_convergence(
+            self, case, m_max, k, tol, dt, data):
+        a, stack = case
+        want, m_cold, c_cold = _phi_action_krylov(a, dt, stack, k, tol=tol, m_max=m_max)
+        # per member any hint in 0 .. m_max, or one near its own dimension
+        hint = np.array([data.draw(
+            st.integers(0, m_max)
+            | st.integers(-9, 9).map(lambda d, m=int(m): min(max(m + d, 0), m_max)))
+            for m in m_cold])
+        got, m_warm, c_warm = _phi_action_krylov(a, dt, stack, k, tol=tol,
+                                                 m_max=m_max, hint=hint)
+        assert np.all(m_warm >= m_cold)
+        assert np.array_equal(c_warm, c_cold)
+        same = m_warm == m_cold
+        assert np.array_equal(got[same], want[same])
+
+    def test_single_vector_takes_one_hint(self):
+        a = BandedSparseMatrix.from_dense(random_banded(60, 2, np.random.default_rng(3)))
+        v = np.random.default_rng(4).standard_normal(60)
+        want, m, ok = _phi_action_krylov(a, 0.3, v, 2)
+        for hint in (0, m - 3, m, m + 5, KRYLOV_M_MAX):
+            got = _phi_action_krylov(a, 0.3, v, 2, hint=hint)
+            assert got[1:] == (m, ok)
+            assert np.array_equal(got[0], want)
+
+    def test_miss_tests_the_checkpoints_it_skipped(self):
+        # a weighted shift: the estimate at step m is prod(w[:m]) / m!,
+        # which passes at 4 and fails at 8, so a hint above 4 misses at
+        # m_max and must find step 4 among the checkpoints it skipped
+        w = np.array([1.0, 1.0, 1.0, 1e-6] + [1e3] * 7)
+        a, v = np.diag(w, -1), np.eye(12)[0]
+        want, m, ok = _phi_action_krylov(a, 1.0, v, 1, tol=1e-6, m_max=8)
+        assert (m, ok) == (4, True)
+        for hint in range(9):
+            got = _phi_action_krylov(a, 1.0, v, 1, tol=1e-6, m_max=8, hint=hint)
+            assert got[1:] == (4, True)
+            assert np.array_equal(got[0], want)
+
+
 class TestBatchedKrylov:
     """One Arnoldi process over ragged members against G = 1 runs."""
 
@@ -738,11 +819,10 @@ class TestBatchedKrylov:
             vecs.append(v)
         return blocks, vecs
 
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_members_match_single_runs(self, complex_):
-        blocks, vecs = self.members(complex_)
+    def padded(self, blocks, vecs):
+        """The block-diagonal operator and the zero-padded (G, L) stack,
+        block i acting on row i."""
         g, size = len(self.SIZES), max(self.SIZES)
-        # block i acts on row i of the zero-padded (G, L) stack
         padded = BandedSparseMatrix(
             g * size, g * size,
             np.concatenate([b.rows + i * size for i, b in enumerate(blocks)]),
@@ -751,6 +831,12 @@ class TestBatchedKrylov:
         stack = np.zeros((g, size), dtype=vecs[0].dtype)
         for i, v in enumerate(vecs):
             stack[i, :v.size] = v
+        return padded, stack
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_members_match_single_runs(self, complex_):
+        blocks, vecs = self.members(complex_)
+        padded, stack = self.padded(blocks, vecs)
         got, m_used, converged = _phi_action_krylov(padded, 0.2, stack, 1,
                                                     tol=1e-12, m_max=14)
         singles = [_phi_action_krylov(b, 0.2, v, 1, tol=1e-12, m_max=14)
@@ -773,6 +859,45 @@ class TestBatchedKrylov:
             assert np.linalg.norm(out[i, :v.size] - want) <= 1e-12 * scale
             assert not np.any(out[i, v.size:])
             assert ev.krylov_dims[i] == m
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_hints_keep_dimensions(self, complex_):
+        # hints below, at and above each member's dimension, checkpoints
+        # or not, beside the zero member, the breakdown and the miss
+        padded, stack = self.padded(*self.members(complex_))
+        want, m_cold, c_cold = _phi_action_krylov(padded, 0.2, stack, 1,
+                                                  tol=1e-12, m_max=14)
+        for shift in range(-15, 16):
+            hint = np.clip(m_cold + shift, 0, 14)
+            got, m_warm, c_warm = _phi_action_krylov(
+                padded, 0.2, stack, 1, tol=1e-12, m_max=14, hint=hint)
+            assert np.array_equal(m_warm, m_cold), shift
+            assert np.array_equal(c_warm, c_cold), shift
+            assert np.array_equal(got, want), shift
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_second_apply_warm_starts(self, complex_):
+        blocks, vecs = self.members(complex_)
+        padded, stack = self.padded(blocks, vecs)
+        ev = PhiEvaluator.krylov(padded, 0.2, order_max=1)
+        ev.apply(1, stack)
+        tested = []  # members per stacked stopping test
+        kernel = lem.expm.phi_hessenberg_e1
+
+        def counted(h, k):
+            tested.append(len(h))
+            return kernel(h, k)
+        with mock.patch.object(lem.expm, "phi_hessenberg_e1", counted):
+            out = ev.apply(1, stack)
+        g = len(vecs)
+        singles = [_phi_action_krylov(b, 0.2, v, 1) for b, v in zip(blocks, vecs)]
+        assert ev.krylov_dims[g:] == ev.krylov_dims[:g] == [m for _, m, _ in singles]
+        for i, (want, _, _) in enumerate(singles):
+            scale = max(np.linalg.norm(want), 1e-300)
+            assert np.linalg.norm(out[i, :want.size] - want) <= 1e-12 * scale
+        # per member that ran: the test at its last dimension and the one
+        # below it that fails
+        assert sum(tested) <= 2 * sum(m > 0 for m in ev.krylov_dims[g:])
 
 
 def augmented_action(a, dt, v, k):

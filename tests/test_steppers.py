@@ -279,6 +279,36 @@ class TestKrylovMisses:
         assert warnings.filters == filters
 
 
+class TestKrylovWarmStart:
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_hints_change_no_bit_of_a_run(self, d):
+        # the porous Krylov cell of the benchmark, rebuilt every 5 steps:
+        # each member's checkpoints start where its last apply stopped,
+        # across rebuilds too, and the run is the unhinted run bitwise
+        system = build_porous_1d(400, 10.0)
+        part = make_partition(system.mesh, d, 16 if d > 1 else 0)
+        cfg = StepperConfig(method="ExpRB2", dt=0.005, t_end=0.25,
+                            jacobian_refresh_every=5, phi_mode="KrylovAction")
+        worker = lem.expm._phi_action_krylov
+        hints = []
+
+        def logged(*args, hint=None, **kwargs):
+            hints.append(hint)
+            return worker(*args, hint=hint, **kwargs)
+
+        def stripped(*args, hint=None, **kwargs):
+            return worker(*args, **kwargs)
+        with mock.patch.object(lem.expm, "_phi_action_krylov", logged):
+            warm = run_lem(system, part, cfg)
+        with mock.patch.object(lem.expm, "_phi_action_krylov", stripped):
+            cold = run_lem(system, part, cfg)
+        assert len(hints) == cfg.n_steps
+        assert hints[0] is None and all(h is not None for h in hints[1:])
+        assert np.array_equal(warm.final_state, cold.final_state)
+        assert warm.krylov_avg_dim == cold.krylov_avg_dim
+        assert warm.warnings == cold.warnings  # the miss count
+
+
 class TestOrders:
     def test_rosenbrock_orders_smooth(self):
         system = quadratic_system()
