@@ -20,23 +20,33 @@ The local exponential method needs three flavors of exponential machinery:
   Horner pass on B's diagonals, stored cyclically (offset mod n) so that
   periodic corners, clipped windows and tiny n all come out exact
   (`_horner_rows`, `_pade_row`); only the n x n inverse of the
-  denominator and one n x n by n x (k + 1) n product are dense BLAS.
-  Squaring the block form [[X, Y_1 ... Y_k], [0, T kron I]] gives
-  [X X, X Y + Y (T kron I)], the phi-function doubling of Skaflestad &
-  Wright (APNUM 2009): the Y blocks never enter X, and they act column
-  by column, as in the action-of-exp approach of Al-Mohy & Higham (SISC
-  2011). So only exp(B) is squared, and its ladder of squares X_0 ... X_s
-  is kept (`_Ladder`); phi_j climbs it on the columns it is applied to
-  (`_Ladder.climb`). Before each squaring, entries of X below eps^2 times
-  its largest are dropped, since their subnormal fill-in would slow the
-  squarings several times over. A build costs
-  (2 + 2 (k + 1) + 2 s) n^3 flops, and applying phi_k to c columns
+  denominator is dense LAPACK. Squaring the block form
+  [[X, Y_1 ... Y_k], [0, T kron I]] gives [X X, X Y + Y (T kron I)], the
+  phi-function doubling of Skaflestad & Wright (APNUM 2009): the Y blocks
+  never enter X, and they act column by column, as in the action-of-exp
+  approach of Al-Mohy & Higham (SISC 2011). So only exp(B) is squared,
+  and its ladder of squares X_0 ... X_s is kept (`_Ladder`); phi_j climbs
+  it on the columns it is applied to (`_Ladder.climb`). The inverse
+  Q_0^{-1} and each X are banded in the same sense: entries below eps^2
+  times their largest are dropped, since their subnormal fill-in would
+  slow the products several times over, and what is left is an exact
+  band, open or cyclic. So the product Q_0^{-1} [P_0 ... P_k] and each
+  squaring run on the band (`_band_matmul`): per block of 32 rows, one
+  product of the columns those rows touch by the output columns those
+  columns touch. For half-bandwidths w_x and w_y that is about
+  2 n (2 w_x + 32)(2 w_x + 2 w_y + 32) flops per n columns of output,
+  in place of 2 n^3; members under 8 blocks (the windows of a local
+  step), or whose band saves less than half, take the plain product. A
+  build costs 2 n^3 flops for the inverse plus s + 1 banded products:
+  on the n = 400 blocks of the porous and Burgers D = 1 runs, whose
+  factors have half-bandwidths 23 to 66, those do 3 to 14 % of the work
+  of the plain (2 (k + 1) + 2 s) n^3. Applying phi_k to c columns costs
   2 k (1 + s) n^2 c; `expm_dense(a, k)` climbs on the n columns of the
-  identity, (2 + 2 (k + 1)(1 + s)) n^3 in all. A (G, n, n) stack takes
-  one Horner pass and one batched inverse, and each level of the ladder
-  one batched product over the members that still have squarings left.
-  `PhiEvaluator.dense` builds every distinct block of a block-diagonal
-  operator in one stacked call per block size, then squares its exp.
+  identity. A (G, n, n) stack takes one Horner pass and one batched
+  inverse, and each level of the ladder one product over the members
+  that still have squarings left. `PhiEvaluator.dense` builds every
+  distinct block of a block-diagonal operator in one stacked call per
+  block size, then squares its exp.
 * `phi_action_krylov` - Arnoldi approximation of phi_k(dt A) v for large
   sparse operators, with a residual-style stopping estimate. The basis is
   built by block classical Gram-Schmidt with one reorthogonalization pass,
@@ -94,6 +104,10 @@ _THETA13 = 5.371920351148152
 # one are set to zero, so that decaying fill-in never turns subnormal
 _DROP = np.finfo(float).eps ** 2
 
+# rows per block of the banded product (`_band_matmul`); a member of fewer
+# than 8 blocks takes the plain product
+_BAND_ROWS = 32
+
 # Arnoldi steps between Krylov convergence tests (each test costs one dense
 # exponential of size m + k)
 KRYLOV_CHECK_EVERY = 4
@@ -113,8 +127,9 @@ def expm_dense(a: np.ndarray, k: int = 0) -> np.ndarray:
     formed: A is scaled to B = A / 2^s, the Pade 13 row of B comes from a
     Horner pass on B's diagonals (`_pade_row`), exp(B) alone is squared
     s times (`_Ladder`) and the phi_j blocks climb that ladder as the
-    columns of the identity (`_Ladder.climb`), about
-    (2 + 2 (k + 1)(1 + s)) n^3 flops. `a` may also be a (G, n, n) stack,
+    columns of the identity (`_Ladder.climb`): (2 + 2 k s) n^3 flops for
+    the inverse and the climb, and s + 1 products on the band
+    (`_band_matmul`). `a` may also be a (G, n, n) stack,
     for which the result is (G, n, (k + 1) n); member i of the result
     equals `expm_dense(a[i], k)` bitwise. The result is float64 or
     complex128. Raises ValueError on a non-square or non-finite input and
@@ -205,10 +220,11 @@ class _Ladder:
     `levels[r]` the stack of X_r of the members with s_i > r, members
     sorted by s (most squarings first, `order`). Before each squaring,
     entries of X below eps^2 times its largest are set to zero, since
-    their subnormal fill-in would slow the squarings several times over.
-    Each level is one batched product, one BLAS call per member, so
-    member i does not depend on the rest of the stack. Squarings that
-    overflow leave inf or nan for the caller to report.
+    their subnormal fill-in would slow the squarings several times over,
+    and the squaring runs on the band that is left (`_band_matmul`),
+    member by member, so member i does not depend on the rest of the
+    stack. Squarings that overflow leave inf or nan for the caller to
+    report.
     """
 
     __slots__ = ("order", "sorted_squarings", "levels", "top")
@@ -223,11 +239,9 @@ class _Ladder:
             for r in range(int(squarings.max(initial=0))):
                 live = int(np.count_nonzero(self.sorted_squarings > r))
                 self.top[self.order[live:len(x)]] = x[live:]  # s_i = r
-                x = x[:live]
-                mag = np.abs(x)
-                np.copyto(x, 0.0, where=mag < _DROP * mag.max(axis=(1, 2), keepdims=True))
+                x = _drop_small(x[:live])
                 self.levels.append(x)
-                x = x @ x
+                x = _band_matmul(x, x)
         self.top[self.order[:len(x)]] = x
 
     def climb(self, y: np.ndarray) -> np.ndarray:
@@ -277,16 +291,16 @@ def _horner_rows(b: np.ndarray, off: np.ndarray, k: int):
     adds to are a run of consecutive ones, updated in place.
     """
     n = b.shape[-1]
-    shifted = [(e, (np.arange(n) + e) % n) for e in off.tolist()]
     h_off = np.zeros(1, dtype=np.intp)
     h = np.full(b.shape[:-2] + (1, n), _PADE13[13], dtype=b.dtype)
     steps = []
     for c in _PADE13[12::-1]:
         new_off = np.unique(_wrap(h_off[:, None] + off, n))
         new = np.zeros(b.shape[:-2] + (len(new_off), n), dtype=b.dtype)
-        for t, (e, cols) in enumerate(shifted):
-            # (B H)[i, i + e + d] gets B[i, i + e] H[i + e, i + e + d]
-            term = h[..., cols]
+        for t, e in enumerate(off.tolist()):
+            # (B H)[i, i + e + d] gets B[i, i + e] H[i + e, i + e + d]: H's
+            # rows shifted cyclically by e, as two slices
+            term = np.concatenate((h[..., e % n:], h[..., :e % n]), axis=-1)
             term *= b[..., t, None, :]
             pos = np.searchsorted(new_off, _wrap(h_off + e, n))
             if (np.diff(pos) == 1).all():
@@ -321,9 +335,11 @@ def _pade_row(a: np.ndarray, squarings: np.ndarray, k: int) -> np.ndarray:
     p and q are T_p kron I and T_q kron I, T = sum_m c_m (+-J_k)^m, so the
     top row of q^{-1} p is Q_0^{-1} [P_0, P_Y - Q_Y (S kron I)] with
     S = T_q^{-1} T_p. The bracket is formed on the diagonals too: only the
-    n x n inverse Q_0^{-1} and its product with the bracket are dense, one
-    LAPACK or BLAS call per member, so member g of the result does not
-    depend on the rest of the stack.
+    n x n inverse Q_0^{-1} is dense, one LAPACK call per member. Its
+    entries below eps^2 times its largest are dropped, as before each
+    squaring, and its product with the bracket runs on the band
+    (`_band_matmul`), so member g of the result does not depend on the
+    rest of the stack.
     """
     g, n = a.shape[0], a.shape[-1]
     dtype = np.promote_types(a.dtype, np.float64)
@@ -351,7 +367,110 @@ def _pade_row(a: np.ndarray, squarings: np.ndarray, k: int) -> np.ndarray:
     q_0[:, i, col] = q_row[:, 0]
     f = np.zeros((g, n, (k + 1) * n), dtype=dtype)
     f[:, i, col + n * np.arange(k + 1)[:, None, None]] = p_row
-    return np.matmul(scipy.linalg.inv(q_0, check_finite=False), f)
+    return _band_matmul(_drop_small(scipy.linalg.inv(q_0, check_finite=False)), f)
+
+
+def _drop_small(x: np.ndarray) -> np.ndarray:
+    """x, each member's entries below _DROP times its largest set to zero
+    in place."""
+    mag = np.abs(x)
+    np.copyto(x, 0.0, where=mag < _DROP * mag.max(axis=(1, 2), keepdims=True))
+    return x
+
+
+def _band_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i y_i for every member of the (G, n, n) and (G, n, m) stacks x, y,
+    without the terms that are exact zeros off their bands.
+
+    Each member takes its own `_band_plan`: per block of _BAND_ROWS rows,
+    one product of the columns of x those rows touch by the columns of y
+    those columns touch, as slices. The terms left out are zeros, so the
+    result is x_i y_i up to the order of summation. A member without a
+    plan takes the plain product, all such members in one batched call, so
+    member i does not depend on the rest of the stack.
+    """
+    plans = [_band_plan(a, b) for a, b in zip(x, y)]
+    plain = [i for i, p in enumerate(plans) if p is None]
+    if len(plain) == len(plans):
+        return np.matmul(x, y)
+    out = np.zeros(x.shape[:2] + y.shape[2:], dtype=np.result_type(x, y))
+    if plain:
+        out[plain] = np.matmul(x[plain], y[plain])
+    for a, b, c, plan in zip(x, y, out, plans):
+        for r0, r1, k_runs, o_runs in plan or ():
+            for o0, o1 in o_runs:
+                (c0, c1), *rest = k_runs
+                acc = a[r0:r1, c0:c1] @ b[c0:c1, o0:o1]
+                for c0, c1 in rest:
+                    acc += a[r0:r1, c0:c1] @ b[c0:c1, o0:o1]
+                c[r0:r1, o0:o1] = acc
+    return out
+
+
+def _band_plan(x: np.ndarray, y: np.ndarray):
+    """The block plan of the product of n x n x by n x m y, or None.
+
+    Rows are cut into blocks of _BAND_ROWS, the last block taking the
+    remainder. Each block takes the columns of x that are nonzero in its
+    rows, and the output columns: those nonzero in the groups of 8 rows
+    of y that hold those columns (so up to 7 rows of y more than needed
+    either side). Both are (start, stop) slices: runs of columns less
+    than _BAND_ROWS apart are merged, so a cyclic band takes at most two
+    slices. A block whose rows are zero is left out. Returns
+    [(r0, r1, k_runs, o_runs)], or None, for the plain product, when n is
+    under 8 blocks, an entry is not finite (inf times a skipped zero is
+    nan) or the plan's multiply-adds exceed half of the plain product's.
+    """
+    n, m = y.shape
+    b = _BAND_ROWS
+    # below 8 blocks the plan costs about what it saves: on the squares of
+    # the porous, Burgers and Schrodinger blocks cut to n = 160, 192 and
+    # 256, the banded product took 1.1-1.2, 0.8-0.9 and 0.4-0.7 times the
+    # plain one (2-core x86 host, one BLAS thread)
+    if n < 8 * b or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    k_mask = _row_groups(x != 0, b)
+    # o_mask[r, j]: some group of rows of y that block r's columns touch
+    # has column j nonzero (counts of at most n / 8 are exact in float32)
+    touched = _row_groups(k_mask.T, 8).T.astype(np.float32)
+    o_mask = touched @ _row_groups(y != 0, 8).astype(np.float32) > 0
+    plan, work = [], 0
+    for r, (k_runs, o_runs) in enumerate(zip(_runs(k_mask), _runs(o_mask))):
+        if k_runs and o_runs:
+            r0, r1 = r * b, (r + 1) * b if r < len(k_mask) - 1 else n
+            work += (r1 - r0) * sum(c1 - c0 for c0, c1 in k_runs) * sum(
+                o1 - o0 for o0, o1 in o_runs)
+            plan.append((r0, r1, k_runs, o_runs))
+    return plan if 2 * work <= n * n * m else None
+
+
+def _row_groups(nz: np.ndarray, size: int) -> np.ndarray:
+    """Whether each group of `size` consecutive rows of the boolean `nz`
+    has an entry in each column; the last group takes the remainder."""
+    q = len(nz) // size
+    out = np.empty((q,) + nz.shape[1:], dtype=bool)
+    out[:-1] = nz[:(q - 1) * size].reshape((q - 1, size) + nz.shape[1:]).any(axis=1)
+    out[-1] = nz[(q - 1) * size:].any(axis=0)
+    return out
+
+
+def _runs(mask: np.ndarray) -> list:
+    """Per row of a 2D boolean mask, the (start, stop) slices of its runs
+    of True, runs less than _BAND_ROWS apart merged into one."""
+    edge = np.empty((len(mask), mask.shape[1] + 1), dtype=bool)
+    edge[:, 0], edge[:, -1] = mask[:, 0], mask[:, -1]
+    np.not_equal(mask[:, 1:], mask[:, :-1], out=edge[:, 1:-1])
+    row, col = np.nonzero(edge)
+    row, start, stop = row[::2], col[::2], col[1::2]  # edges come in pairs
+    first = np.ones(len(row), dtype=bool)  # the first run of each merged one
+    first[1:] = (row[1:] != row[:-1]) | (start[1:] - stop[:-1] >= _BAND_ROWS)
+    last = np.ones(len(row), dtype=bool)  # and the last
+    last[:-1] = first[1:]
+    runs = [[] for _ in mask]
+    for r, c0, c1 in zip(row[first].tolist(), start[first].tolist(),
+                         stop[last].tolist()):
+        runs[r].append((c0, c1))
+    return runs
 
 
 def phi_dense_all(a: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -666,12 +785,15 @@ class PhiEvaluator:
     exp(dt A_i), for callers that compose a step from it (`stored`), and
     keeps the squaring ladder of exp(dt A_i / 2^s) with the thin blocks
     2^(-s j) phi_j(dt A_i / 2^s), which `apply` climbs on the vectors it
-    is given. A build costs (2 + 2 (k + 1) + 2 s) n^3 flops for
-    k = order_max and s squarings, and an application of phi_k to c
-    columns 2 k (1 + s) n^2 c. KrylovAction mode runs one Arnoldi
-    process per application at KRYLOV_TOL, every block one member. The
-    dimension of every member is appended to `krylov_dims`, and members
-    that hit KRYLOV_M_MAX unconverged are counted in `krylov_misses`.
+    is given. A build of k = order_max and s squarings costs 2 n^3 flops
+    for the Pade denominator's inverse and s + 1 products on the band
+    (`_band_matmul`): a few percent of the plain (2 (k + 1) + 2 s) n^3
+    for a banded block of n >= 256, all of it below that. An application
+    of phi_k to c columns costs 2 k (1 + s) n^2 c. KrylovAction mode runs
+    one Arnoldi process per application at KRYLOV_TOL, every block one
+    member. The dimension of every member is appended to `krylov_dims`,
+    and members that hit KRYLOV_M_MAX unconverged are counted in
+    `krylov_misses`.
     `krylov_last` maps (k, G) to the members' dimensions in the last
     application of phi_k to a stack of G rows, and the next such
     application warm-starts each member's checkpoints there

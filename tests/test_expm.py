@@ -23,8 +23,9 @@ from lem import (
     phi_k_dense,
     verify_decay,
 )
-from lem.expm import (_THETA13, KRYLOV_CHECK_EVERY, KRYLOV_M_MAX,
-                      _phi_action_krylov, phi_hessenberg_e1)
+from lem.expm import (_BAND_ROWS, _THETA13, KRYLOV_CHECK_EVERY, KRYLOV_M_MAX,
+                      _band_matmul, _band_plan, _phi_action_krylov,
+                      phi_hessenberg_e1)
 from lem.models import (
     build_advdiff_1d,
     build_advdiff_2d,
@@ -711,6 +712,100 @@ class TestStackedExponential:
         assert got.shape == (g, n, (k + 1) * n)
         for member, a in zip(got, stack):
             assert np.array_equal(member, expm_dense(a, k))
+
+
+@st.composite
+def band_products(draw):
+    """(G, n, n) and (G, n, c n) stacks for `_band_matmul`: per member an
+    open or cyclic band in each factor (y banded in each of its c blocks,
+    like the Pade numerator row), decaying or not, or an all-zero or
+    fully dense member; real or complex; n on both sides of 8 blocks."""
+    g = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40) | st.integers(8 * _BAND_ROWS - 8, 300))
+    c = draw(st.integers(1, 4))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((g, n, n))
+    y = rng.standard_normal((g, n, c * n))
+    if complex_:
+        x = x + 1j * rng.standard_normal(x.shape)
+        y = y + 1j * rng.standard_normal(y.shape)
+    d = np.subtract.outer(np.arange(n), np.arange(c * n) % n)
+    for i in range(g):
+        kind = draw(st.sampled_from(("open", "cyclic", "zero", "dense")))
+        if kind == "zero":
+            x[i] = y[i] = 0.0
+        elif kind != "dense":
+            dist = np.abs(d) if kind == "open" else np.minimum(d % n, -d % n)
+            for f in (x[i], y[i]):
+                f *= dist[:, :f.shape[1]] <= draw(st.integers(0, n // 4))
+                if draw(st.booleans()):  # decaying, down to subnormals
+                    f *= np.exp(-40.0 * dist[:, :f.shape[1]])
+    return x, y
+
+
+def band_work(plan):
+    """The multiply-adds of a `_band_plan`."""
+    return sum((r1 - r0) * sum(c1 - c0 for c0, c1 in k_runs)
+               * sum(o1 - o0 for o0, o1 in o_runs)
+               for r0, r1, k_runs, o_runs in plan)
+
+
+class TestBandProduct:
+    """`_band_matmul` skips only exact zeros, member by member."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_products())
+    def test_matches_plain_product_and_own_call(self, xy):
+        x, y = xy
+        got = _band_matmul(x, y)
+        eps = np.finfo(float).eps
+        for i in range(len(x)):
+            want = x[i] @ y[i]
+            scale = np.abs(x[i]) @ np.abs(y[i])
+            # the same nonzero terms summed in another order: within
+            # 1e-15 of |x||y| as a whole, and of each entry's own bound
+            assert np.linalg.norm(got[i] - want) <= 1e-15 * np.linalg.norm(scale)
+            assert (np.abs(got[i] - want) <= 2 * len(x[i]) * eps * scale).all()
+            assert np.array_equal(got[i], _band_matmul(x[i:i + 1], y[i:i + 1])[0])
+
+    def test_porous_build_takes_the_band_plan(self, monkeypatch):
+        # the D = 1 block of porous ExpRB2 (dt = 0.005, five squarings): the
+        # Pade product and every squaring must do at most half the plain
+        # product's work, so a silent fall back to it fails here
+        system = build_porous_1d(400, 10.0)
+        calls = []
+
+        def record(x, y):
+            calls.append((x.copy(), y.copy()))
+            return _band_matmul(x, y)
+
+        monkeypatch.setattr(lem.expm, "_band_matmul", record)
+        PhiEvaluator.dense(system.jacobian(system.initial), [400], 0.005, 1)
+        assert [y.shape for _, y in calls] == [(1, 400, 800)] + [(1, 400, 400)] * 5
+        for x, y in calls:
+            plan = _band_plan(x[0], y[0])
+            assert plan is not None
+            assert 2 * band_work(plan) <= x[0].size * y.shape[-1]
+
+    def test_windows_take_the_batched_product(self):
+        # the porous D = 5, B = 16 windows (n = 96 and 112) and the complex
+        # Schrodinger D = 4, B = 20 windows (n = 140) are under 8 blocks of
+        # rows, however narrow their band
+        porous = build_porous_1d(400, 10.0)
+        schrodinger = build_schrodinger_1d(400, 10.0, 10.0, 0.5)
+        for jac, part in ((porous.jacobian(porous.initial),
+                           make_partition(porous.mesh, 5, 16)),
+                          (schrodinger.linear_matrix,
+                           make_partition(schrodinger.mesh, 4, 20))):
+            jac = jac.to_dense()
+            for nodes, size in zip(part.nodes, part.sizes):
+                assert size < 8 * _BAND_ROWS
+                x = jac[np.ix_(nodes[:size], nodes[:size])][None]
+                assert _band_plan(x[0], x[0]) is None
+                assert np.array_equal(_band_matmul(x, x), np.matmul(x, x))
+        x = np.eye(8 * _BAND_ROWS)
+        assert _band_plan(x, x) is not None
 
 
 @st.composite
